@@ -4,135 +4,8 @@ The pipeline infers a relaxed consensus adjacency from concatenated view
 features under a belief-weighted Bernoulli prior, embeds each view by
 parameter-free message passing along both its own graph and the consensus,
 and clusters the belief-weighted fusion with a self-sharpening soft
-assignment.  ``fit`` runs the whole loop; the submodules expose the pieces.
+assignment.  ``mvgc.trainer.fit`` runs the whole loop; the submodules expose
+the pieces.
 """
 
-from .cluster import (
-    Beliefs,
-    ClusterResult,
-    SoftAssignment,
-    clustering_loss,
-    fuse,
-    kmeans,
-    soft_assignment,
-    target_distribution,
-    update_beliefs,
-)
-from .dataio import (
-    DatasetError,
-    MultiViewDataset,
-    RunConfig,
-    generate_sbm,
-    load_dataset,
-    parse_config_file,
-    save_dataset,
-    save_run,
-    write_consensus_tsv,
-)
-from .encoder import (
-    GlobalDecoder,
-    ViewEncoder,
-    encode_view,
-    message_pass,
-    reconstruction_loss,
-    reconstruction_loss_global,
-)
-from .graph import (
-    Graph,
-    NormalizedGraph,
-    add_self_loops,
-    hamming_distance,
-    knn_graph,
-    row_normalize,
-)
-from .metrics import acc, ari, contingency, f1, hungarian, nmi
-from .trainer import (
-    FitResult,
-    TrainingError,
-    TrainState,
-    build_loss,
-    fit,
-    init_state,
-    prepare_epoch,
-    train_epoch,
-)
-from .vargen import (
-    ConsensusSample,
-    PosteriorLogits,
-    PosteriorNet,
-    PriorBeta,
-    compute_prior_beta,
-    consensus_entropy,
-    decode_adjacency,
-    elbo_loss,
-    infer_posterior,
-    kl_upper_bound,
-    normalize_consensus,
-    sample_consensus,
-    view_prior_cross_entropy,
-)
-from .verify import Check, run_suite
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Beliefs",
-    "Check",
-    "ClusterResult",
-    "ConsensusSample",
-    "DatasetError",
-    "FitResult",
-    "GlobalDecoder",
-    "Graph",
-    "MultiViewDataset",
-    "NormalizedGraph",
-    "PosteriorLogits",
-    "PosteriorNet",
-    "PriorBeta",
-    "RunConfig",
-    "SoftAssignment",
-    "TrainState",
-    "TrainingError",
-    "ViewEncoder",
-    "acc",
-    "add_self_loops",
-    "ari",
-    "build_loss",
-    "clustering_loss",
-    "compute_prior_beta",
-    "consensus_entropy",
-    "contingency",
-    "decode_adjacency",
-    "elbo_loss",
-    "encode_view",
-    "f1",
-    "fit",
-    "fuse",
-    "generate_sbm",
-    "hamming_distance",
-    "hungarian",
-    "infer_posterior",
-    "init_state",
-    "kl_upper_bound",
-    "kmeans",
-    "knn_graph",
-    "load_dataset",
-    "message_pass",
-    "nmi",
-    "normalize_consensus",
-    "parse_config_file",
-    "prepare_epoch",
-    "reconstruction_loss",
-    "reconstruction_loss_global",
-    "row_normalize",
-    "run_suite",
-    "sample_consensus",
-    "save_dataset",
-    "save_run",
-    "soft_assignment",
-    "target_distribution",
-    "train_epoch",
-    "update_beliefs",
-    "view_prior_cross_entropy",
-    "write_consensus_tsv",
-]

@@ -12,8 +12,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .dataio import (
     _CONFIG_FIELDS,
     DatasetError,
@@ -21,6 +19,7 @@ from .dataio import (
     generate_sbm,
     load_dataset,
     parse_config_file,
+    read_labels,
     save_dataset,
     save_run,
     write_consensus_tsv,
@@ -127,26 +126,9 @@ def _cmd_verify(args):
     return 0 if failed == 0 else 1
 
 
-def _read_label_file(path):
-    labels = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            labels.append(int(line))
-        except ValueError:
-            raise DatasetError(
-                f"{Path(path).name} line {lineno}: non-integer label {line!r}"
-            ) from None
-    if not labels:
-        raise DatasetError(f"{Path(path).name}: no labels found")
-    return np.array(labels, dtype=int)
-
-
 def _cmd_metrics(args):
-    truth = _read_label_file(args.truth)
-    pred = _read_label_file(args.pred)
+    truth = read_labels(args.truth)
+    pred = read_labels(args.pred)
     if len(truth) != len(pred):
         raise DatasetError(
             f"label counts differ: {len(truth)} in {Path(args.truth).name}, "

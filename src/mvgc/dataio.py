@@ -248,7 +248,10 @@ def _load_edges(path, n, directed):
     return add_self_loops(Graph(adj))
 
 
-def _load_labels(path, n):
+def read_labels(path, n=None):
+    """Integer labels, one per nonblank line.  With ``n``, the file must hold
+    exactly ``n`` of them; without, at least one."""
+    path = Path(path)
     labels = []
     with path.open() as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -261,7 +264,10 @@ def _load_labels(path, n):
                 raise DatasetError(
                     f"{path.name} line {lineno}: non-integer label {line!r}"
                 ) from None
-    if len(labels) != n:
+    if n is None:
+        if not labels:
+            raise DatasetError(f"{path.name}: no labels found")
+    elif len(labels) != n:
         raise DatasetError(f"{path.name}: expected {n} labels, found {len(labels)}")
     return np.array(labels, dtype=int)
 
@@ -292,7 +298,7 @@ def load_dataset(directory, knn_k=10, knn_metric="cosine"):
             g = knn_graph(x, knn_k, metric=knn_metric)
         views.append((x, g))
     labels_path = directory / "labels.txt"
-    labels = _load_labels(labels_path, n) if labels_path.is_file() else None
+    labels = read_labels(labels_path, n) if labels_path.is_file() else None
     x_global = np.concatenate([x for x, _ in views], axis=1)
     return MultiViewDataset(views=tuple(views), x_global=x_global, labels=labels, c=c)
 

@@ -3,9 +3,12 @@
 Message passing needs no weights: features are pushed ``order`` times along a
 row-stochastic graph and summed across hops with a residual copy of the
 input.  Each view then compresses the concatenation of its specific-graph and
-consensus-graph embeddings through a small MLP.  Mirror-shaped decoders
-reconstruct the view features (and the global features from the posterior
-query embedding), giving the BCE terms that keep embeddings informative.
+consensus-graph embeddings through a small MLP.  The specific-graph branch
+has no parameters and a fixed graph, so the caller computes it once and
+passes it in, as in SGC's precomputed propagation (Wu et al. 2019).
+Mirror-shaped decoders reconstruct the view features (and the global
+features from the posterior query embedding), giving the BCE terms that keep
+embeddings informative.
 """
 
 from dataclasses import dataclass
@@ -103,14 +106,14 @@ def message_pass(x, a_norm, order):
     return out
 
 
-def encode_view(x_v, a_norm_v, s_norm, enc, order, training=False, rng=None):
-    """Embed one view: message-pass its features along both its own graph and
-    the consensus graph, concatenate, and compress through f_v."""
-    specific = message_pass(x_v, a_norm_v, order)
+def encode_view(x_v, specific_v, s_norm, enc, order):
+    """Embed one view: message-pass its features along the consensus graph,
+    concatenate with ``specific_v`` (the same features already message-passed
+    along the view's own graph, ``message_pass(x_v, a_norm_v, order)``), and
+    compress through f_v."""
     consensus = message_pass(x_v, s_norm, order)
     return mlp_apply(
-        enc.f_params, enc.f_spec, concat([specific, consensus], axis=1),
-        training=training, rng=rng,
+        enc.f_params, enc.f_spec, concat([specific_v, consensus], axis=1)
     )
 
 
@@ -120,16 +123,16 @@ def _check_unit_interval(x, what):
         raise ValueError(f"{what} must be scaled into [0, 1] before BCE")
 
 
-def reconstruction_loss(x_v, z_v, enc, training=False, rng=None):
+def reconstruction_loss(x_v, z_v, enc):
     """BCE between the view's features and their decoding from z_v."""
     _check_unit_interval(x_v, "view features")
-    decoded = mlp_apply(enc.dec_params, enc.dec_spec, z_v, training=training, rng=rng)
+    decoded = mlp_apply(enc.dec_params, enc.dec_spec, z_v)
     return binary_cross_entropy(np.asarray(x_v, dtype=np.float64), decoded)
 
 
-def reconstruction_loss_global(x_global, q_embed, dec, training=False, rng=None):
+def reconstruction_loss_global(x_global, q_embed, dec):
     """BCE between the global features and their decoding from the query
     embedding."""
     _check_unit_interval(x_global, "global features")
-    decoded = mlp_apply(dec.params, dec.spec, q_embed, training=training, rng=rng)
+    decoded = mlp_apply(dec.params, dec.spec, q_embed)
     return binary_cross_entropy(np.asarray(x_global, dtype=np.float64), decoded)

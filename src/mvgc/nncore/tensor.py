@@ -7,6 +7,11 @@ dynamic tape once in reverse topological order and then drops it.  Only the
 operations the pipeline needs are implemented; broadcasting is supported for
 elementwise ops and bias rows, nothing fancier.
 
+A gradient closure may capture its inputs and plain arrays, never the output
+Tensor it is attached to: that would make a reference cycle (out -> grad_fn
+-> out), and the tape would then outlive the loss until the cycle collector
+runs.  Ops whose gradient needs their own result capture the result array.
+
 Everything is float64.  Given identical inputs and seeds the forward values
 and gradients are bit-identical across runs.
 """
@@ -285,18 +290,16 @@ def log(a):
 
 def exp(a):
     a = _wrap(a)
-    out = Tensor(np.exp(a.value))
-    return _record(out, (a,), lambda g: ((a, g * out.value),))
+    e = np.exp(a.value)
+    return _record(Tensor(e), (a,), lambda g: ((a, g * e),))
 
 
 def sigmoid(a):
     a = _wrap(a)
     # expit is the overflow-safe logistic; saturation to exact 0/1 in
     # float64 is expected for |x| beyond ~37
-    out = Tensor(special.expit(a.value))
-    return _record(
-        out, (a,), lambda g: ((a, g * out.value * (1.0 - out.value)),)
-    )
+    s = special.expit(a.value)
+    return _record(Tensor(s), (a,), lambda g: ((a, g * s * (1.0 - s)),))
 
 
 def relu(a):

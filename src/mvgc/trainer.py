@@ -13,8 +13,15 @@ where L_r reconstructs the per-view and global features, L_c pulls soft
 assignments toward a sharpened target, and L_E is the evidence bound on the
 consensus-graph posterior.  The belief update itself is never differentiated
 through; beliefs enter the loss as constants refreshed once per epoch.
+
+Everything that does not depend on the parameters is computed once, outside
+the loss: ``init_state`` message-passes each view's features along its own
+graph for the whole fit, and ``prepare_epoch`` computes the epoch's KL bound
+(from the incoming beliefs) and its concrete-noise draw.  ``build_loss``
+builds only the differentiable graph.
 """
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +39,7 @@ from .encoder import (
     GlobalDecoder,
     ViewEncoder,
     encode_view,
+    message_pass,
     reconstruction_loss,
     reconstruction_loss_global,
 )
@@ -44,13 +52,16 @@ from .vargen import (
     decode_adjacency,
     elbo_loss,
     infer_posterior,
+    kl_upper_bound,
+    logistic_noise,
     normalize_consensus,
     sample_consensus,
 )
 
 
 class TrainingError(Exception):
-    """Raised when an epoch produces a non-finite loss term."""
+    """Raised when an epoch produces a non-finite loss term, or the trained
+    model a non-finite final embedding."""
 
 
 # fixed codes keep the per-(epoch, purpose) RNG streams disjoint
@@ -78,16 +89,16 @@ def derived_seed(seed, epoch, purpose, view=None):
 @dataclass
 class TrainState:
     """Everything that persists across epochs: parameter groups, beliefs,
-    optimizer moments, and the normalized view graphs."""
+    optimizer moments, and ``specific``, each view's features message-passed
+    along its own normalized graph (an n x d_v array, constant for the fit)."""
 
     posterior: PosteriorNet
     encoders: list
     global_decoder: GlobalDecoder
-    a_norm: list
+    specific: list
     beliefs: Beliefs
     optimizer: OptimizerState
     epoch: int = 0
-    prior: object = None
 
     def parameters(self):
         params = list(self.posterior.parameters())
@@ -99,11 +110,11 @@ class TrainState:
 
 @dataclass(frozen=True)
 class EpochArtifacts:
-    """Constants for one epoch's loss: the belief pair (pre-update for the
-    prior, post-update for fusion), cluster structure from the eval pass, and
-    the frozen concrete-noise draw."""
+    """Constants for one epoch's loss: the KL bound of the prior under the
+    incoming beliefs, the updated beliefs for fusion, cluster structure from
+    the eval pass, and the frozen concrete-noise draw."""
 
-    prior_beliefs: Beliefs
+    kl_bound: float
     beliefs: Beliefs
     pseudo_labels: np.ndarray
     view_labels: tuple
@@ -147,7 +158,10 @@ def init_state(dataset, config):
         posterior=posterior,
         encoders=encoders,
         global_decoder=global_decoder,
-        a_norm=[row_normalize(add_self_loops(g)) for g in dataset.graphs],
+        specific=[
+            message_pass(x, row_normalize(add_self_loops(g)), config.order).value
+            for x, g in dataset.views
+        ],
         beliefs=Beliefs.initial(dataset.num_views, config.rho),
         optimizer=None,
     )
@@ -162,8 +176,8 @@ def _forward_eval(state, dataset, config):
     sample = sample_consensus(logits, config.tau, mode="eval")
     s_norm = normalize_consensus(sample)
     z_views = [
-        encode_view(x, a_norm, s_norm, enc, config.order, training=False).value
-        for (x, _), a_norm, enc in zip(dataset.views, state.a_norm, state.encoders)
+        encode_view(x, specific, s_norm, enc, config.order).value
+        for (x, _), specific, enc in zip(dataset.views, state.specific, state.encoders)
     ]
     return sample.s.value, z_views
 
@@ -173,7 +187,7 @@ def prepare_epoch(state, dataset, config):
 
     Pseudo labels cluster the fusion under the incoming beliefs; the belief
     update then rescores every view before the global centroids are drawn
-    from the re-fused embedding.
+    from the re-fused embedding.  The KL bound uses the incoming beliefs.
     """
     seed, epoch = config.seed, state.epoch
     _, z_views = _forward_eval(state, dataset, config)
@@ -193,18 +207,18 @@ def prepare_epoch(state, dataset, config):
         fuse(z_views, beliefs), dataset.c,
         seed=derived_seed(seed, epoch, "global"), restarts=config.restarts,
     )
-    u = np.clip(
-        rng_stream(seed, epoch, "noise").random((dataset.n, dataset.n)),
-        1e-12, 1.0 - 1e-12,
-    )
     return EpochArtifacts(
-        prior_beliefs=state.beliefs,
+        kl_bound=kl_upper_bound(
+            compute_prior_beta(dataset.graphs, state.beliefs.b)
+        ),
         beliefs=beliefs,
         pseudo_labels=pseudo.labels,
         view_labels=tuple(r.labels for r in view_results),
         view_centroids=tuple(r.centroids for r in view_results),
         global_centroids=global_result.centroids,
-        noise=np.log(u) - np.log1p(-u),
+        noise=logistic_noise(
+            rng_stream(seed, epoch, "noise"), (dataset.n, dataset.n)
+        ),
     )
 
 
@@ -216,8 +230,6 @@ def build_loss(state, dataset, config, artifacts, training=True, p_global=None):
     (total, named terms, the target actually used) so callers can re-evaluate
     the loss with the target pinned.
     """
-    prior = compute_prior_beta(dataset.graphs, artifacts.prior_beliefs.b)
-    state.prior = prior
     dropout_rng = (
         rng_stream(config.seed, state.epoch, "dropout") if training else None
     )
@@ -229,8 +241,8 @@ def build_loss(state, dataset, config, artifacts, training=True, p_global=None):
     )
     s_norm = normalize_consensus(sample)
     z_views = [
-        encode_view(x, a_norm, s_norm, enc, config.order, training=training)
-        for (x, _), a_norm, enc in zip(dataset.views, state.a_norm, state.encoders)
+        encode_view(x, specific, s_norm, enc, config.order)
+        for (x, _), specific, enc in zip(dataset.views, state.specific, state.encoders)
     ]
 
     l_r = reconstruction_loss_global(
@@ -240,7 +252,7 @@ def build_loss(state, dataset, config, artifacts, training=True, p_global=None):
         l_r = l_r + reconstruction_loss(x, z, enc)
 
     decoded = [decode_adjacency(z) for z in z_views]
-    l_e = elbo_loss(dataset.graphs, decoded, sample, prior)
+    l_e = elbo_loss(dataset.graphs, decoded, sample, artifacts.kl_bound)
 
     zbar = fuse(z_views, artifacts.beliefs)
     q_views = [
@@ -285,13 +297,36 @@ def train_epoch(state, dataset, config):
     return report
 
 
+# glibc's mallopt parameter number for M_TOP_PAD, and the freed heap it keeps
+_M_TOP_PAD = -2
+_TOP_PAD_BYTES = 64 << 20
+
+
+def _keep_freed_heap():
+    """Ask the C allocator to keep up to 64 MiB of freed heap for reuse.
+
+    Every epoch frees its whole tape when the loss is dropped.  By default
+    glibc then hands the top of the heap back to the OS, and the next epoch
+    faults the same pages in again: at n=200 (2-vCPU Xeon VM) that was about
+    15k page faults and 35-45 ms of system time per 140 ms epoch.  A C
+    library without ``mallopt`` keeps its own policy.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+
+
 def fit(dataset, config, callback=None):
     """Train for ``config.epochs`` epochs and cluster the final embedding.
 
-    Final labels come from k-means on the eval-mode fusion.  When the dataset
-    carries ground truth the standard four metrics are attached.  ``callback``
-    (epoch, report) fires after every epoch.
+    Final labels come from k-means on the eval-mode fusion, which must be
+    finite (``TrainingError`` otherwise).  When the dataset carries ground
+    truth the standard four metrics are attached.  ``callback`` (epoch,
+    report) fires after every epoch.
     """
+    _keep_freed_heap()
     state = init_state(dataset, config)
     beliefs_history = [state.beliefs.b]
     loss_history = []
@@ -305,6 +340,8 @@ def fit(dataset, config, callback=None):
             callback(epoch, report)
     consensus, z_views = _forward_eval(state, dataset, config)
     zbar = fuse(z_views, state.beliefs)
+    if not np.isfinite(zbar).all():
+        raise TrainingError("final embedding is not finite")
     final = kmeans(
         zbar, dataset.c,
         seed=derived_seed(config.seed, state.epoch, "final"),

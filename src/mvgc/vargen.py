@@ -111,6 +111,13 @@ def infer_posterior(x_global, net, training=False, rng=None):
     return PosteriorLogits(alpha=alpha, k_embed=k, q_embed=q)
 
 
+def logistic_noise(rng, shape):
+    """Standard logistic draw log(U) - log(1-U), U ~ Uniform(0,1) clipped off
+    exact 0 and 1 so both logs stay finite."""
+    u = np.clip(rng.random(shape), 1e-12, 1.0 - 1e-12)
+    return np.log(u) - np.log1p(-u)
+
+
 def sample_consensus(logits, tau, rng=None, mode="train", noise=None):
     """Draw relaxed edge weights from the binary-concrete posterior.
 
@@ -127,8 +134,7 @@ def sample_consensus(logits, tau, rng=None, mode="train", noise=None):
         if noise is None:
             if rng is None:
                 raise ValueError("train-mode sampling needs an rng or a noise matrix")
-            u = np.clip(rng.random(alpha.value.shape), 1e-12, 1.0 - 1e-12)
-            noise = np.log(u) - np.log1p(-u)
+            noise = logistic_noise(rng, alpha.value.shape)
         s = ((alpha + noise) / tau).sigmoid()
     elif mode == "eval":
         s = (alpha / tau).sigmoid()
@@ -159,16 +165,20 @@ def decode_adjacency(z):
     return (z @ z.T).sigmoid()
 
 
-def elbo_loss(graphs, decoded, sample, prior):
+def elbo_loss(graphs, decoded, sample, kl_bound):
     """Evidence lower bound: reconstruction likelihood of every observed
     graph, plus sample entropy, minus the KL bound.  Training maximizes this,
-    so it enters the total objective with a negative weight."""
+    so it enters the total objective with a negative weight.
+
+    ``kl_bound`` is the float ``kl_upper_bound(prior)``: it depends only on
+    the graphs and beliefs, not on any parameter, so the caller computes it
+    once per belief update."""
     if len(decoded) != len(graphs):
         raise ValueError(f"{len(graphs)} graphs but {len(decoded)} decodings")
     likelihood = 0.0
     for g, a_hat in zip(graphs, decoded):
         likelihood = likelihood - binary_cross_entropy(g.adj, a_hat)
-    return likelihood + consensus_entropy(sample) - kl_upper_bound(prior)
+    return likelihood + consensus_entropy(sample) - kl_bound
 
 
 def view_prior_cross_entropy(graph, beliefs, view):

@@ -2,8 +2,10 @@
 
 import re
 
+import numpy as np
 import pytest
 
+from mvgc import trainer
 from mvgc.cli import build_parser, format_metrics_line, main
 
 METRICS_LINE = re.compile(
@@ -107,6 +109,23 @@ def test_invalid_flag_value_exits_one(tmp_path, capsys):
     assert main(["cluster", str(tmp_path), "--out", str(tmp_path / "run"),
                  "--tau", "-1"]) == 1
     assert "tau must be positive" in capsys.readouterr().err
+
+
+def test_non_finite_final_embedding_exits_one(tmp_path, capsys, monkeypatch):
+    data = synth(tmp_path)
+    capsys.readouterr()
+    real_step = trainer.adam_step
+
+    def poisoned_step(optimizer):
+        real_step(optimizer)
+        optimizer.params[0].value[0, 0] = np.nan
+
+    monkeypatch.setattr(trainer, "adam_step", poisoned_step)
+    run = tmp_path / "run"
+    assert main(["cluster", str(data), "--out", str(run), *FAST_FLAGS,
+                 "--epochs", "1"]) == 1
+    assert "final embedding is not finite" in capsys.readouterr().err
+    assert not (run / "labels.txt").exists()
 
 
 def test_broken_config_file_exits_two(tmp_path, capsys):

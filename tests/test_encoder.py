@@ -12,7 +12,7 @@ from mvgc.encoder import (
     reconstruction_loss_global,
 )
 from mvgc.graph import Graph, add_self_loops, row_normalize
-from mvgc.nncore import Tensor, binary_cross_entropy, mlp_apply
+from mvgc.nncore import Tensor, binary_cross_entropy, concat, mlp_apply
 
 
 def ring_norm(n):
@@ -55,23 +55,36 @@ def test_encode_view_shape_and_determinism():
     n, d_v, embed = 7, 4, 3
     x = np.random.default_rng(3).uniform(size=(n, d_v))
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=embed, seed=0)
-    a_norm = ring_norm(n)
+    specific = message_pass(x, ring_norm(n), 2).value
     s_norm = Tensor(np.full((n, n), 1.0 / n))
-    z1 = encode_view(x, a_norm, s_norm, enc, order=2)
-    z2 = encode_view(x, a_norm, s_norm, enc, order=2)
+    z1 = encode_view(x, specific, s_norm, enc, order=2)
+    z2 = encode_view(x, specific, s_norm, enc, order=2)
     assert z1.value.shape == (n, embed)
     assert np.array_equal(z1.value, z2.value)
+
+
+def test_encode_view_compresses_both_graph_routes_through_f():
+    n, d_v = 6, 3
+    x = np.random.default_rng(8).uniform(size=(n, d_v))
+    enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=4, seed=5)
+    s_norm = Tensor(row_normalize(np.eye(n) + 0.5).values)
+    specific = message_pass(x, ring_norm(n), 2).value
+    both = concat([specific, message_pass(x, s_norm, 2)], axis=1)
+    expected = mlp_apply(enc.f_params, enc.f_spec, both).value
+    assert np.array_equal(
+        encode_view(x, specific, s_norm, enc, order=2).value, expected
+    )
 
 
 def test_encode_view_feeds_both_graph_routes():
     n, d_v = 6, 3
     x = np.random.default_rng(4).uniform(size=(n, d_v))
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=4, seed=1)
-    a_norm = ring_norm(n)
+    specific = message_pass(x, ring_norm(n), 2).value
     uniform = Tensor(np.full((n, n), 1.0 / n))
     tilted = Tensor(row_normalize(np.eye(n) + 0.5).values)
-    z_uniform = encode_view(x, a_norm, uniform, enc, order=2)
-    z_tilted = encode_view(x, a_norm, tilted, enc, order=2)
+    z_uniform = encode_view(x, specific, uniform, enc, order=2)
+    z_tilted = encode_view(x, specific, tilted, enc, order=2)
     # a different consensus graph must move the embedding
     assert not np.allclose(z_uniform.value, z_tilted.value)
 
@@ -80,7 +93,8 @@ def test_reconstruction_loss_is_bce_of_the_decoded_features():
     n, d_v = 5, 4
     x = np.random.default_rng(5).uniform(size=(n, d_v))
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=3, seed=2)
-    z = encode_view(x, ring_norm(n), Tensor(np.full((n, n), 1.0 / n)), enc, order=1)
+    specific = message_pass(x, ring_norm(n), 1).value
+    z = encode_view(x, specific, Tensor(np.full((n, n), 1.0 / n)), enc, order=1)
     decoded = mlp_apply(enc.dec_params, enc.dec_spec, z)
     assert reconstruction_loss(x, z, enc).value == pytest.approx(
         binary_cross_entropy(x, decoded).value

@@ -1,5 +1,7 @@
 """Autodiff core: op gradients, MLP behavior, the optimizer."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,28 @@ def test_backward_rejects_non_scalar_loss():
     x = Parameter(np.ones((2, 2)))
     with pytest.raises(ValueError):
         backward(x * 2.0)
+
+
+def test_dropping_the_loss_frees_the_tape_without_the_cycle_collector():
+    rng = np.random.default_rng(9)
+    w = Parameter(rng.normal(size=(4, 3)))
+    target = rng.uniform(size=(4, 4))
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        # every op that records a tape node
+        h = concat([(w @ w.T).sigmoid(), (w * 0.5).exp() @ w.T], axis=1)
+        h = (h.relu() + 1.0 - w.sum() / 3.0) ** 2.0
+        p = (h.clip(0.1, 5.0) / 6.0).log().exp() @ np.full((8, 4), 0.125)
+        loss = binary_cross_entropy(target, p) + bernoulli_entropy(p)
+        loss = loss - (-p.T).sum()
+        loss.backward()
+        del h, p, loss
+        gc.collect()
+        stranded = sum(isinstance(obj, Tensor) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert stranded == 0

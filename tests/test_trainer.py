@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mvgc import trainer
 from mvgc.dataio import RunConfig, generate_sbm
+from mvgc.graph import add_self_loops, row_normalize
 from mvgc.trainer import (
     TrainingError,
     build_loss,
@@ -59,8 +61,12 @@ def test_init_state_wires_every_parameter_group():
     params = state.parameters()
     assert len(params) == len(state.optimizer.params)
     assert all(p is q for p, q in zip(params, state.optimizer.params))
-    for a_norm in state.a_norm:
-        assert np.allclose(a_norm.values.sum(axis=1), 1.0)
+    # each view's own-graph branch, message-passed once along its
+    # row-normalized graph (order 2 in toy_config)
+    for (x, g), specific in zip(dataset.views, state.specific):
+        a = row_normalize(add_self_loops(g)).values
+        assert np.allclose(a.sum(axis=1), 1.0)
+        assert np.allclose(specific, 2.0 * x + a @ x + a @ (a @ x))
 
 
 def test_train_epoch_reports_finite_losses_and_advances():
@@ -97,6 +103,18 @@ def test_nan_parameter_aborts_naming_the_bad_term():
     state.parameters()[0].value[0, 0] = np.nan
     with pytest.raises(TrainingError, match="loss term 'reconstruction' is nan"):
         train_epoch(state, dataset, config)
+
+
+def test_nan_after_the_last_step_fails_the_fit(monkeypatch):
+    real_step = trainer.adam_step
+
+    def poisoned_step(optimizer):
+        real_step(optimizer)
+        optimizer.params[0].value[0, 0] = np.nan
+
+    monkeypatch.setattr(trainer, "adam_step", poisoned_step)
+    with pytest.raises(TrainingError, match="final embedding is not finite"):
+        fit(toy_dataset(), toy_config(epochs=1))
 
 
 def test_fit_histories_metrics_and_shapes():

@@ -16,6 +16,7 @@ from mvgc.vargen import (
     elbo_loss,
     infer_posterior,
     kl_upper_bound,
+    logistic_noise,
     normalize_consensus,
     sample_consensus,
     view_prior_cross_entropy,
@@ -95,6 +96,16 @@ def test_train_sample_replays_a_fixed_noise_matrix():
     )
 
 
+def test_rng_sampling_draws_the_shared_logistic_noise():
+    alpha = np.random.default_rng(3).normal(size=(5, 5))
+    logits = PosteriorLogits(alpha=Tensor(alpha), k_embed=None, q_embed=None)
+    drawn = sample_consensus(logits, 2.0, rng=np.random.default_rng(4))
+    noise = logistic_noise(np.random.default_rng(4), (5, 5))
+    replayed = sample_consensus(logits, 2.0, noise=noise)
+    assert np.all(np.isfinite(noise))
+    assert np.array_equal(drawn.s.value, replayed.s.value)
+
+
 def test_sample_consensus_validates_arguments():
     logits = PosteriorLogits(alpha=Tensor(np.zeros((2, 2))), k_embed=None, q_embed=None)
     with pytest.raises(ValueError):
@@ -166,7 +177,7 @@ def test_elbo_composes_reconstruction_entropy_and_bound():
     sample = sample_consensus(logits, 5.0, mode="eval")
     decoded = [decode_adjacency(z) for _ in graphs]
 
-    got = elbo_loss(graphs, decoded, sample, prior).value
+    got = elbo_loss(graphs, decoded, sample, kl_upper_bound(prior)).value
     manual = (
         -sum(binary_cross_entropy(g.adj, d).value for g, d in zip(graphs, decoded))
         + consensus_entropy(sample).value
@@ -181,7 +192,10 @@ def test_elbo_rejects_mismatched_decodings():
     logits = PosteriorLogits(alpha=Tensor(np.zeros((6, 6))), k_embed=None, q_embed=None)
     sample = sample_consensus(logits, 5.0, mode="eval")
     with pytest.raises(ValueError):
-        elbo_loss(graphs, [decode_adjacency(Tensor(np.zeros((6, 2))))], sample, prior)
+        elbo_loss(
+            graphs, [decode_adjacency(Tensor(np.zeros((6, 2))))], sample,
+            kl_upper_bound(prior),
+        )
 
 
 def test_elbo_gradient_reaches_the_posterior_logits():
@@ -196,7 +210,9 @@ def test_elbo_gradient_reaches_the_posterior_logits():
             5.0,
             mode="eval",
         )
-        return elbo_loss(graphs, [decode_adjacency(z)] * 2, sample, prior)
+        return elbo_loss(
+            graphs, [decode_adjacency(z)] * 2, sample, kl_upper_bound(prior)
+        )
 
     # h large enough that float64 cancellation stays well under the bound
     assert grad_check(loss_fn, [alpha, z], h=1e-4, max_entries=24) < 1e-5
