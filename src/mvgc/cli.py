@@ -24,33 +24,19 @@ from .dataio import (
     save_run,
     write_consensus_tsv,
 )
-from .metrics import acc, ari, f1, nmi
+from .metrics import score
 from .trainer import TrainingError, fit
 from .verify import SUITES, format_check, run_suite
 
 logger = logging.getLogger(__name__)
 
-_FLAG_HELP = {
-    "tau": "concrete relaxation temperature",
-    "rho": "belief sharpening exponent",
-    "order": "message passing hops",
-    "gamma_c": "clustering loss weight",
-    "gamma_e": "evidence bound weight",
-    "lr": "Adam learning rate",
-    "epochs": "training epochs",
-    "hidden": "hidden layer width",
-    "embed_dim": "per-view embedding width",
-    "dropout": "posterior net dropout rate",
-    "knn_k": "neighbors when building graphs from features",
-    "seed": "master random seed",
-    "restarts": "k-means restarts",
-}
-
 
 def _add_config_flags(parser):
-    for name, kind in _CONFIG_FIELDS.items():
+    for name, knob in _CONFIG_FIELDS.items():
         flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=kind, default=None, help=_FLAG_HELP[name])
+        parser.add_argument(
+            flag, type=knob.type, default=None, help=knob.metadata["help"]
+        )
 
 
 def _resolve_config(args):
@@ -61,7 +47,12 @@ def _resolve_config(args):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    return RunConfig(**overrides)
+    try:
+        return RunConfig(**overrides)
+    except ValueError as err:
+        # config-file values are range-checked as they are read, so this is
+        # an out-of-range flag: unusable input, like an unparsable one
+        raise DatasetError(str(err)) from None
 
 
 def format_metrics_line(metrics):
@@ -134,13 +125,7 @@ def _cmd_metrics(args):
             f"label counts differ: {len(truth)} in {Path(args.truth).name}, "
             f"{len(pred)} in {Path(args.pred).name}"
         )
-    metrics = {
-        "nmi": nmi(truth, pred),
-        "ari": ari(truth, pred),
-        "acc": acc(truth, pred),
-        "f1": f1(truth, pred),
-    }
-    print(format_metrics_line(metrics))
+    print(format_metrics_line(score(truth, pred)))
     return 0
 
 

@@ -15,7 +15,8 @@ serve as BCE targets; graphs get self-loops and, unless meta says
 
 import json
 import logging
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,40 +77,28 @@ class MultiViewDataset:
         return [g for _, g in self.views]
 
 
-_CONFIG_FIELDS = {
-    "tau": float,
-    "rho": float,
-    "order": int,
-    "gamma_c": float,
-    "gamma_e": float,
-    "lr": float,
-    "epochs": int,
-    "hidden": int,
-    "embed_dim": int,
-    "dropout": float,
-    "knn_k": int,
-    "seed": int,
-    "restarts": int,
-}
+def _knob(default, help_text):
+    return field(default=default, metadata={"help": help_text})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob of a training run; flat key=value files mirror the fields."""
+    """Every knob of a training run; flat key=value files mirror the fields,
+    and each field's ``help`` metadata is its command-line help."""
 
-    tau: float = 5.0
-    rho: float = 1.0
-    order: int = 2
-    gamma_c: float = 1.0
-    gamma_e: float = 1e-3
-    lr: float = 1e-3
-    epochs: int = 200
-    hidden: int = 512
-    embed_dim: int = 512
-    dropout: float = 0.1
-    knn_k: int = 10
-    seed: int = 0
-    restarts: int = 10
+    tau: float = _knob(5.0, "concrete relaxation temperature")
+    rho: float = _knob(1.0, "belief sharpening exponent")
+    order: int = _knob(2, "message passing hops")
+    gamma_c: float = _knob(1.0, "clustering loss weight")
+    gamma_e: float = _knob(1e-3, "evidence bound weight")
+    lr: float = _knob(1e-3, "Adam learning rate")
+    epochs: int = _knob(200, "training epochs")
+    hidden: int = _knob(512, "hidden layer width")
+    embed_dim: int = _knob(512, "per-view embedding width")
+    dropout: float = _knob(0.1, "posterior net dropout rate")
+    knn_k: int = _knob(10, "neighbors when building graphs from features")
+    seed: int = _knob(0, "master random seed")
+    restarts: int = _knob(10, "k-means restarts")
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -131,11 +120,20 @@ class RunConfig:
         return replace(self, **kwargs)
 
 
+# name -> dataclasses.Field of every RunConfig knob, in declaration order
+_CONFIG_FIELDS = {f.name: f for f in fields(RunConfig)}
+
+
 def parse_config_file(path):
-    """Read a flat key=value config file into typed RunConfig overrides."""
+    """Read a flat key=value config file into typed, range-checked RunConfig
+    overrides."""
     overrides = {}
     path = Path(path)
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text()
+    except OSError as err:
+        raise DatasetError(f"cannot read config file {path}: {err.strerror}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -145,11 +143,15 @@ def parse_config_file(path):
         if key not in _CONFIG_FIELDS:
             raise DatasetError(f"{path.name} line {lineno}: unknown key {key!r}")
         try:
-            overrides[key] = _CONFIG_FIELDS[key](value)
+            overrides[key] = _CONFIG_FIELDS[key].type(value)
         except ValueError:
             raise DatasetError(
                 f"{path.name} line {lineno}: cannot parse {value!r} for {key}"
             ) from None
+        try:
+            RunConfig(**{key: overrides[key]})  # the knob's own range check
+        except ValueError as err:
+            raise DatasetError(f"{path.name} line {lineno}: {err}") from None
     return overrides
 
 
@@ -180,6 +182,13 @@ def _parse_meta(path):
             entries[key] = int(entries[key])
         except ValueError:
             raise DatasetError(f"meta: key {key!r} must be an integer") from None
+    n, num_views, c = entries["n"], entries["V"], entries["c"]
+    if n < 1:
+        raise DatasetError(f"meta: n={n} must be at least 1")
+    if num_views < 1:
+        raise DatasetError(f"meta: V={num_views} must be at least 1")
+    if not 1 <= c <= n:
+        raise DatasetError(f"meta: c={c} must lie in [1, n={n}]")
     entries["directed"] = str(entries.get("directed", "false")).lower() == "true"
     return entries
 
@@ -209,7 +218,11 @@ def _load_features(path, n):
                 ) from None
     if len(rows) != n:
         raise DatasetError(f"{path.name}: expected {n} rows, found {len(rows)}")
-    return np.array(rows, dtype=np.float64)
+    x = np.array(rows, dtype=np.float64)
+    if not np.isfinite(x).all():
+        lineno, bad = _first_non_finite_cell(path)
+        raise DatasetError(f"{path.name} line {lineno}: non-finite cell {bad!r}")
+    return x
 
 
 def _is_number(cell):
@@ -218,6 +231,18 @@ def _is_number(cell):
         return True
     except ValueError:
         return False
+
+
+def _first_non_finite_cell(path):
+    """(line number, cell) of the first nan or inf cell of a features file
+    that parsed; read again only once a check of the whole array failed."""
+    with path.open() as handle:
+        return next(
+            (lineno, cell)
+            for lineno, raw in enumerate(handle, start=1)
+            for cell in raw.strip().split(",")
+            if cell and not math.isfinite(float(cell))
+        )
 
 
 def _load_edges(path, n, directed):
@@ -291,6 +316,11 @@ def load_dataset(directory, knn_k=10, knn_metric="cosine"):
         if graph_path.is_file():
             g = _load_edges(graph_path, n, meta["directed"])
         else:
+            if knn_k >= n:
+                raise DatasetError(
+                    f"{graph_path.name} is missing, and a {knn_k}-nn graph "
+                    f"needs more than {knn_k} nodes (meta n={n})"
+                )
             logger.info(
                 "no %s; building a %d-nn %s graph from features",
                 graph_path.name, knn_k, knn_metric,

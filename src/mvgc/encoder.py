@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NormalizedGraph
 from .nncore import (
     MLPSpec,
-    Tensor,
     binary_cross_entropy,
     concat,
     init_params,
@@ -81,18 +79,12 @@ class GlobalDecoder:
         return list(self.params)
 
 
-def _as_tensor(graph_or_tensor):
-    if isinstance(graph_or_tensor, NormalizedGraph):
-        return Tensor(graph_or_tensor.values)
-    return _wrap(graph_or_tensor)
-
-
 def message_pass(x, a_norm, order):
     """(sum of the first ``order`` graph powers, plus two identity copies,
     applied to x) via iterated products: acc <- A acc; out <- out + acc."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    a = _as_tensor(a_norm)
+    a = _wrap(a_norm)
     x = _wrap(x)
     if a.value.shape[0] != a.value.shape[1] or a.value.shape[1] != x.value.shape[0]:
         raise ValueError(

@@ -25,17 +25,6 @@ class Graph:
         return self.adj.shape[0]
 
 
-@dataclass(frozen=True)
-class NormalizedGraph:
-    """Row-stochastic nonnegative weights (rows of an all-zero source stay zero)."""
-
-    values: np.ndarray
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-
 def add_self_loops(g):
     """Force a unit diagonal; off-diagonal entries are untouched."""
     adj = g.adj.copy()
@@ -44,7 +33,8 @@ def add_self_loops(g):
 
 
 def row_normalize(g):
-    """Divide each row by its sum.  Accepts a Graph or a nonnegative array.
+    """Divide each row by its sum.  Accepts a Graph or a nonnegative array
+    and returns the row-stochastic array.
 
     A row summing to zero cannot happen once self-loops are in place; for
     relaxed inputs it is left as zeros and flagged with a warning.
@@ -60,7 +50,7 @@ def row_normalize(g):
             stacklevel=2,
         )
         sums = np.where(sums == 0.0, 1.0, sums)
-    return NormalizedGraph(values / sums)
+    return values / sums
 
 
 def hamming_distance(g1, g2):

@@ -147,3 +147,14 @@ def f1(a_true, b_pred):
         recall = tp / actual
         scores.append(2.0 * precision * recall / (precision + recall))
     return float(np.mean(scores))
+
+
+def score(truth, pred):
+    """The four scores a run reports: NMI, ARI, ACC and F1 of ``pred``
+    against ``truth``, keyed by lower-case name."""
+    return {
+        "nmi": nmi(truth, pred),
+        "ari": ari(truth, pred),
+        "acc": acc(truth, pred),
+        "f1": f1(truth, pred),
+    }

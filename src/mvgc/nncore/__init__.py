@@ -8,6 +8,7 @@ from .tensor import (
     bernoulli_entropy,
     binary_cross_entropy,
     concat,
+    no_grad,
     zero_grads,
 )
 from .mlp import MLPSpec, dropout, init_params, mlp_apply
@@ -28,5 +29,6 @@ __all__ = [
     "grad_check",
     "init_params",
     "mlp_apply",
+    "no_grad",
     "zero_grads",
 ]

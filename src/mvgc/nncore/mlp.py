@@ -16,7 +16,7 @@ class MLPSpec:
 
     ``layer_dims`` runs input -> hidden ... -> output; ``activations`` names
     one nonlinearity per weight layer.  Dropout (inverted convention) is
-    applied after each layer's activation, in training mode only.
+    applied after each layer's activation when ``mlp_apply`` gets an rng.
     """
 
     layer_dims: tuple
@@ -75,9 +75,9 @@ def dropout(x, rate, rng):
     return x * mask
 
 
-def mlp_apply(params, spec, x, training=False, rng=None):
-    """Run the stack on ``x`` (n rows).  Dropout masks come from ``rng`` and
-    are drawn only when training; eval mode is deterministic."""
+def mlp_apply(params, spec, x, rng=None):
+    """Run the stack on ``x`` (n rows).  Dropout masks come from ``rng``;
+    without one, or at rate 0, the pass is deterministic."""
     h = _wrap(x)
     if h.value.ndim != 2 or h.value.shape[1] != spec.layer_dims[0]:
         raise ValueError(
@@ -86,9 +86,7 @@ def mlp_apply(params, spec, x, training=False, rng=None):
         )
     if len(params) != 2 * spec.num_layers:
         raise ValueError("parameter list does not match spec")
-    use_dropout = training and spec.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("training-mode dropout needs an rng")
+    use_dropout = rng is not None and spec.dropout_rate > 0.0
     for layer in range(spec.num_layers):
         w, b = params[2 * layer], params[2 * layer + 1]
         h = h @ w + b

@@ -20,16 +20,13 @@ class OptimizerState:
         self._scratch = [np.empty_like(p.value) for p in self.params]
 
 
-def adam_step(state, params=None):
+def adam_step(state):
     """One bias-corrected adaptive-moment update from accumulated grads."""
-    params = state.params if params is None else list(params)
-    if len(params) != len(state.params):
-        raise ValueError("parameter list does not match optimizer state")
     state.step += 1
     t = state.step
     correct1 = 1.0 - state.beta1 ** t
     correct2 = 1.0 - state.beta2 ** t
-    for p, m, v, scratch in zip(params, state.m, state.v, state._scratch):
+    for p, m, v, scratch in zip(state.params, state.m, state.v, state._scratch):
         g = p.grad
         m *= state.beta1
         np.multiply(g, 1.0 - state.beta1, out=scratch)

@@ -12,12 +12,20 @@ Tensor it is attached to: that would make a reference cycle (out -> grad_fn
 -> out), and the tape would then outlive the loss until the cycle collector
 runs.  Ops whose gradient needs their own result capture the result array.
 
+Inside ``no_grad()`` nothing is tracked, so no op records a tape node: a pass
+whose values are all the caller reads builds no tape at all.
+
 Everything is float64.  Given identical inputs and seeds the forward values
 and gradients are bit-identical across runs.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 from scipy import special
+
+# False inside no_grad(); read only by _tracked
+_recording = True
 
 
 class Tensor:
@@ -137,8 +145,21 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextmanager
+def no_grad():
+    """Build no tape inside the block: every result is a constant Tensor.
+    The previous setting comes back on exit, also when the block raises."""
+    global _recording
+    saved = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _tracked(t):
-    return t.requires_grad or t._grad_fn is not None
+    return _recording and (t.requires_grad or t._grad_fn is not None)
 
 
 def _record(out, parents, grad_fn):
@@ -321,6 +342,8 @@ def clip(a, low, high):
     """Clamp values into [low, high]; gradient is blocked where clamped."""
     a = _wrap(a)
     out = Tensor(np.clip(a.value, low, high))
+    if not _tracked(a):
+        return out
     inside = (a.value >= low) & (a.value <= high)
     return _record(out, (a,), lambda g: ((a, g * inside),))
 

@@ -24,28 +24,12 @@ from .nncore import (
 
 
 @dataclass(frozen=True)
-class PriorBeta:
-    """Edge-prior probabilities, clamped into [epsilon, 1]."""
-
-    beta: np.ndarray
-    epsilon: float
-
-
-@dataclass(frozen=True)
 class PosteriorLogits:
     """Pairwise edge logits alpha = K Q^T with the embeddings that built them."""
 
     alpha: Tensor
     k_embed: Tensor
     q_embed: Tensor
-
-
-@dataclass(frozen=True)
-class ConsensusSample:
-    """Relaxed edge weights, strictly inside (0, 1)."""
-
-    s: Tensor
-    tau: float
 
 
 class PosteriorNet:
@@ -83,6 +67,7 @@ def compute_prior_beta(graphs, beliefs, eps=1e-6):
     Each view votes b^v for the states it observed and 1-b^v against; the
     normalized vote can exceed 1 when beliefs are small and edges absent, so
     the result is clamped into [eps, 1] to stay a valid Bernoulli parameter.
+    Returns the n x n array of clamped probabilities.
     """
     if not graphs:
         raise ValueError("need at least one graph")
@@ -100,12 +85,13 @@ def compute_prior_beta(graphs, beliefs, eps=1e-6):
     votes = np.zeros((n, n))
     for g, bv in zip(graphs, b):
         votes += bv * g.adj + (1.0 - bv) * (1.0 - g.adj)
-    return PriorBeta(beta=np.clip(votes / total, eps, 1.0), epsilon=eps)
+    return np.clip(votes / total, eps, 1.0)
 
 
-def infer_posterior(x_global, net, training=False, rng=None):
-    """K = f'(global features), Q = K W, alpha = K Q^T."""
-    k = mlp_apply(net.params, net.spec, x_global, training=training, rng=rng)
+def infer_posterior(x_global, net, rng=None):
+    """K = f'(global features), Q = K W, alpha = K Q^T.  Dropout masks in
+    f' come from ``rng``; without one the pass is deterministic."""
+    k = mlp_apply(net.params, net.spec, x_global, rng=rng)
     q = k @ net.w
     alpha = k @ q.T
     return PosteriorLogits(alpha=alpha, k_embed=k, q_embed=q)
@@ -118,46 +104,35 @@ def logistic_noise(rng, shape):
     return np.log(u) - np.log1p(-u)
 
 
-def sample_consensus(logits, tau, rng=None, mode="train", noise=None):
-    """Draw relaxed edge weights from the binary-concrete posterior.
+def sample_consensus(alpha, tau, noise=None):
+    """Relaxed edge weights sigmoid((alpha + noise) / tau) from the
+    binary-concrete posterior over the logits ``alpha``.
 
-    Train mode perturbs the logits with logistic noise log(U) - log(1-U),
-    U ~ Uniform(0,1); eval mode fixes U = 0.5 (the distribution median) so the
-    sample is deterministic.  ``noise`` overrides the draw for replaying a
-    fixed perturbation.  Outputs are nudged off exact 0/1 so downstream logs
-    stay finite.
+    ``noise`` is a logistic draw (``logistic_noise``); without it the sample
+    sits at the distribution median (U = 0.5) and is deterministic.  Outputs
+    are nudged off exact 0/1 so downstream logs stay finite.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    alpha = logits.alpha
-    if mode == "train":
-        if noise is None:
-            if rng is None:
-                raise ValueError("train-mode sampling needs an rng or a noise matrix")
-            noise = logistic_noise(rng, alpha.value.shape)
-        s = ((alpha + noise) / tau).sigmoid()
-    elif mode == "eval":
-        s = (alpha / tau).sigmoid()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return ConsensusSample(s=s.clip(1e-12, 1.0 - 1e-12), tau=float(tau))
+    if noise is not None:
+        alpha = alpha + noise
+    return (alpha / tau).sigmoid().clip(1e-12, 1.0 - 1e-12)
 
 
-def normalize_consensus(sample):
+def normalize_consensus(s):
     """Row-normalize the relaxed sample so it can drive message passing."""
-    s = sample.s
     return s / s.sum(axis=1, keepdims=True)
 
 
-def kl_upper_bound(prior):
-    """Sum of log(1/beta) over all pairs: the closed-form bound on the KL
-    divergence from posterior to prior."""
-    return float(-np.log(prior.beta).sum())
+def kl_upper_bound(beta):
+    """Sum of log(1/beta) over all pairs of the prior ``beta``: the
+    closed-form bound on the KL divergence from posterior to prior."""
+    return float(-np.log(beta).sum())
 
 
-def consensus_entropy(sample):
+def consensus_entropy(s):
     """Summed Bernoulli entropy of the relaxed weights."""
-    return bernoulli_entropy(sample.s)
+    return bernoulli_entropy(s)
 
 
 def decode_adjacency(z):
@@ -165,20 +140,20 @@ def decode_adjacency(z):
     return (z @ z.T).sigmoid()
 
 
-def elbo_loss(graphs, decoded, sample, kl_bound):
+def elbo_loss(graphs, decoded, s, kl_bound):
     """Evidence lower bound: reconstruction likelihood of every observed
     graph, plus sample entropy, minus the KL bound.  Training maximizes this,
     so it enters the total objective with a negative weight.
 
-    ``kl_bound`` is the float ``kl_upper_bound(prior)``: it depends only on
-    the graphs and beliefs, not on any parameter, so the caller computes it
-    once per belief update."""
+    ``s`` is the relaxed consensus sample.  ``kl_bound`` is the float
+    ``kl_upper_bound(beta)``: it depends only on the graphs and beliefs, not
+    on any parameter, so the caller computes it once per belief update."""
     if len(decoded) != len(graphs):
         raise ValueError(f"{len(graphs)} graphs but {len(decoded)} decodings")
     likelihood = 0.0
     for g, a_hat in zip(graphs, decoded):
         likelihood = likelihood - binary_cross_entropy(g.adj, a_hat)
-    return likelihood + consensus_entropy(sample) - kl_bound
+    return likelihood + consensus_entropy(s) - kl_bound
 
 
 def view_prior_cross_entropy(graph, beliefs, view):

@@ -19,9 +19,9 @@ from .metrics import acc, ari, nmi
 from .nncore import Tensor, grad_check
 from .trainer import build_loss, init_state, prepare_epoch
 from .vargen import (
-    PosteriorLogits,
     compute_prior_beta,
     kl_upper_bound,
+    logistic_noise,
     sample_consensus,
     view_prior_cross_entropy,
 )
@@ -118,15 +118,13 @@ def temperature(seed=0):
     a percentage point of one half from tau = 5 up.
     """
     rng = np.random.default_rng(seed)
-    logits = PosteriorLogits(
-        alpha=Tensor(rng.normal(size=(50, 50))), k_embed=None, q_embed=None
-    )
+    alpha = Tensor(rng.normal(size=(50, 50)))
     taus = (0.1, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0)
     checks = []
     variances = []
     for tau in taus:
         draws = [
-            sample_consensus(logits, tau, rng=rng, mode="train").s.value
+            sample_consensus(alpha, tau, logistic_noise(rng, alpha.shape)).value
             for _ in range(40)
         ]
         pool = np.concatenate([d.reshape(-1) for d in draws])
@@ -179,12 +177,10 @@ def gradients(seed=0):
     params = state.parameters()
     # pin the sharpened target so the finite-difference loss is smooth in
     # the parameters
-    _, _, p_star = build_loss(state, dataset, config, artifacts, training=False)
+    _, _, p_star = build_loss(state, dataset, config, artifacts)
 
     def rebuild(term):
-        total, parts, _ = build_loss(
-            state, dataset, config, artifacts, training=False, p_global=p_star
-        )
+        total, parts, _ = build_loss(state, dataset, config, artifacts, p_global=p_star)
         return total if term == "total" else parts[term]
 
     rng = np.random.default_rng(seed)

@@ -105,10 +105,61 @@ def test_missing_dataset_directory_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_invalid_flag_value_exits_one(tmp_path, capsys):
+def test_invalid_flag_value_exits_two(tmp_path, capsys):
     assert main(["cluster", str(tmp_path), "--out", str(tmp_path / "run"),
-                 "--tau", "-1"]) == 1
+                 "--tau", "-1"]) == 2
     assert "tau must be positive" in capsys.readouterr().err
+
+
+def test_out_of_range_config_value_exits_two(tmp_path, capsys):
+    data = synth(tmp_path)
+    conf = tmp_path / "bad.conf"
+    conf.write_text("tau=-1\n")
+    capsys.readouterr()
+    assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
+                 "--config", str(conf)]) == 2
+    assert "bad.conf line 1: tau must be positive" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_two(tmp_path, capsys):
+    data = synth(tmp_path)
+    capsys.readouterr()
+    assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
+                 "--config", str(tmp_path / "absent.conf")]) == 2
+    assert "absent.conf" in capsys.readouterr().err
+
+
+def test_cluster_count_out_of_range_in_meta_exits_two(tmp_path, capsys):
+    data = synth(tmp_path)
+    meta = data / "meta"
+    meta.write_text(meta.read_text().replace("c=2", "c=0"))
+    capsys.readouterr()
+    assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
+                 *FAST_FLAGS]) == 2
+    assert "meta: c=0" in capsys.readouterr().err
+
+
+def test_knn_k_not_below_the_node_count_exits_two(tmp_path, capsys):
+    data = synth(tmp_path)
+    (data / "graph_v1.tsv").unlink()
+    capsys.readouterr()
+    assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
+                 *FAST_FLAGS, "--knn-k", "30"]) == 2
+    assert "graph_v1.tsv is missing" in capsys.readouterr().err
+
+
+def test_non_finite_feature_cell_exits_two(tmp_path, capsys):
+    data = synth(tmp_path)
+    path = data / "features_v2.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[1] = "nan"
+    lines[4] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
+                 *FAST_FLAGS]) == 2
+    assert "features_v2.csv line 5: non-finite cell 'nan'" in capsys.readouterr().err
 
 
 def test_non_finite_final_embedding_exits_one(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,13 @@
 """Dataset directory round trips, config parsing, and the synthetic benchmark."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgc.dataio import (
     DatasetError,
@@ -85,6 +89,13 @@ def test_parse_config_file_names_file_and_line_on_errors(tmp_path):
     path.write_text("epochs=ten\n")
     with pytest.raises(DatasetError, match=r"cannot parse 'ten' for epochs"):
         parse_config_file(path)
+
+    path.write_text("epochs=3\ndropout=1.5\n")
+    with pytest.raises(DatasetError, match=r"line 2: dropout must lie in \[0, 1\)"):
+        parse_config_file(path)
+
+    with pytest.raises(DatasetError, match=r"cannot read config file .*absent\.conf"):
+        parse_config_file(tmp_path / "absent.conf")
 
 
 def test_min_max_scale_maps_columns_onto_unit_interval():
@@ -230,6 +241,101 @@ def test_load_reports_malformed_files_by_name_and_line(tmp_path):
     (root / "labels.txt").write_text("0\n1\nx\n0\n")
     with pytest.raises(DatasetError, match=r"labels\.txt line 3: non-integer"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ("n=0\nV=1\nc=1\n", "meta: n=0"),
+        ("n=4\nV=0\nc=2\n", "meta: V=0"),
+        ("n=4\nV=1\nc=0\n", r"meta: c=0 must lie in \[1, n=4\]"),
+        ("n=4\nV=1\nc=5\n", "meta: c=5"),
+    ],
+    ids=["n_zero", "V_zero", "c_zero", "c_above_n"],
+)
+def test_load_rejects_out_of_range_meta_counts(tmp_path, meta, message):
+    (tmp_path / "meta").write_text(meta)
+    with pytest.raises(DatasetError, match=message):
+        load_dataset(tmp_path)
+
+
+def test_load_rejects_knn_k_not_below_the_node_count(tmp_path):
+    (tmp_path / "meta").write_text("n=4\nV=1\nc=2\n")
+    np.savetxt(tmp_path / "features_v1.csv", np.eye(4), delimiter=",")
+    with pytest.raises(DatasetError, match=r"graph_v1\.tsv is missing"):
+        load_dataset(tmp_path, knn_k=4)
+    assert load_dataset(tmp_path, knn_k=3).n == 4
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_load_rejects_non_finite_feature_cells_by_line(tmp_path, cell):
+    (tmp_path / "meta").write_text("n=3\nV=1\nc=2\n")
+    (tmp_path / "features_v1.csv").write_text(f"0.1,0.2\n\n0.3,0.4\n0.5,{cell}\n")
+    with pytest.raises(
+        DatasetError, match=rf"features_v1\.csv line 4: non-finite cell '{cell}'"
+    ):
+        load_dataset(tmp_path, knn_k=1)
+
+
+_FUZZ_BASE = generate_sbm(
+    n=12, c=3, V=2, p_in=0.8, p_out=0.1, feature_dim=4, seed=0
+)
+
+_MUTATIONS = st.one_of(
+    st.tuples(
+        st.just("cell"), st.integers(1, 2), st.integers(0, 11), st.integers(0, 3),
+        st.sampled_from(["nan", "inf", "-inf", "text", "", " "]),
+    ),
+    st.tuples(st.just("drop_meta"), st.sampled_from(["n", "V", "c", "directed"])),
+    st.tuples(st.just("zero_meta"), st.sampled_from(["n", "V", "c", "directed"])),
+    st.tuples(st.just("edge"), st.integers(1, 2), st.sampled_from([-1, 12, 13, 10**6])),
+    st.tuples(st.just("drop_graph"), st.integers(1, 2)),
+)
+
+
+def _mutate(root, mutation):
+    kind, *args = mutation
+    if kind == "cell":
+        view, row, col, text = args
+        path = root / f"features_v{view}.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[col] = text
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    elif kind in ("drop_meta", "zero_meta"):
+        (key,) = args
+        path = root / "meta"
+        lines = []
+        for line in path.read_text().splitlines():
+            if line.split("=", 1)[0] == key:
+                if kind == "drop_meta":
+                    continue
+                line = f"{key}=0"
+            lines.append(line)
+        path.write_text("\n".join(lines) + "\n")
+    elif kind == "edge":
+        view, bad = args
+        with (root / f"graph_v{view}.tsv").open("a") as handle:
+            handle.write(f"0\t{bad}\n")
+    else:
+        (view,) = args
+        (root / f"graph_v{view}.tsv").unlink(missing_ok=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_MUTATIONS, min_size=1, max_size=3), st.integers(1, 14))
+def test_mutated_dataset_directories_load_or_raise_dataset_error(mutations, knn_k):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        save_dataset(_FUZZ_BASE, root)
+        for mutation in mutations:
+            _mutate(root, mutation)
+        try:
+            dataset = load_dataset(root, knn_k=knn_k)
+        except DatasetError:
+            return
+        assert all(np.isfinite(x).all() for x in dataset.features)
 
 
 def test_dataset_container_validates_shape_agreement():

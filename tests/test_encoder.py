@@ -31,7 +31,7 @@ def test_message_pass_order_zero_doubles_the_features():
 
 def test_message_pass_matches_unrolled_powers():
     x = np.random.default_rng(1).uniform(size=(6, 3))
-    a = ring_norm(6).values
+    a = ring_norm(6)
     out = message_pass(Tensor(x), ring_norm(6), order=3)
     manual = 2.0 * x + a @ x + a @ a @ x + a @ a @ a @ x
     assert np.allclose(out.value, manual)
@@ -67,7 +67,7 @@ def test_encode_view_compresses_both_graph_routes_through_f():
     n, d_v = 6, 3
     x = np.random.default_rng(8).uniform(size=(n, d_v))
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=4, seed=5)
-    s_norm = Tensor(row_normalize(np.eye(n) + 0.5).values)
+    s_norm = Tensor(row_normalize(np.eye(n) + 0.5))
     specific = message_pass(x, ring_norm(n), 2).value
     both = concat([specific, message_pass(x, s_norm, 2)], axis=1)
     expected = mlp_apply(enc.f_params, enc.f_spec, both).value
@@ -82,7 +82,7 @@ def test_encode_view_feeds_both_graph_routes():
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=4, seed=1)
     specific = message_pass(x, ring_norm(n), 2).value
     uniform = Tensor(np.full((n, n), 1.0 / n))
-    tilted = Tensor(row_normalize(np.eye(n) + 0.5).values)
+    tilted = Tensor(row_normalize(np.eye(n) + 0.5))
     z_uniform = encode_view(x, specific, uniform, enc, order=2)
     z_tilted = encode_view(x, specific, tilted, enc, order=2)
     # a different consensus graph must move the embedding

@@ -38,16 +38,16 @@ def test_add_self_loops_sets_diagonal_only():
 def test_row_normalize_rows_sum_to_one():
     g = add_self_loops(random_adjacency(8, seed=1))
     norm = row_normalize(g)
-    assert np.allclose(norm.values.sum(axis=1), 1.0)
-    assert (norm.values >= 0).all()
+    assert np.allclose(norm.sum(axis=1), 1.0)
+    assert (norm >= 0).all()
 
 
 def test_row_normalize_leaves_zero_rows_and_warns():
     values = np.array([[0.0, 0.0], [1.0, 3.0]])
     with pytest.warns(UserWarning):
         norm = row_normalize(values)
-    assert np.array_equal(norm.values[0], [0.0, 0.0])
-    assert np.allclose(norm.values[1], [0.25, 0.75])
+    assert np.array_equal(norm[0], [0.0, 0.0])
+    assert np.allclose(norm[1], [0.25, 0.75])
 
 
 def test_row_normalize_rejects_negative_entries():

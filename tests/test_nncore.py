@@ -19,6 +19,7 @@ from mvgc.nncore import (
     grad_check,
     init_params,
     mlp_apply,
+    no_grad,
     zero_grads,
 )
 from mvgc.nncore.tensor import tensor_sum
@@ -146,6 +147,18 @@ def test_mlp_eval_matches_manual_affine_chain():
     assert np.allclose(out, manual)
 
 
+def test_mlp_dropout_runs_only_with_an_rng():
+    spec = MLPSpec(layer_dims=(3, 4), activations=("none",), dropout_rate=0.5)
+    params = init_params(spec, seed=2)
+    x = np.random.default_rng(3).normal(size=(6, 3))
+    plain = x @ params[0].value + params[1].value
+    assert np.array_equal(mlp_apply(params, spec, x).value, plain)
+    dropped = mlp_apply(params, spec, x, rng=np.random.default_rng(4)).value
+    expected = dropout(Tensor(plain), 0.5, np.random.default_rng(4)).value
+    assert np.array_equal(dropped, expected)
+    assert (dropped == 0.0).any()
+
+
 def test_mlp_init_is_deterministic_per_seed():
     spec = MLPSpec(layer_dims=(6, 8, 4), activations=("relu", "none"))
     first = init_params(spec, seed=9)
@@ -238,3 +251,21 @@ def test_dropping_the_loss_frees_the_tape_without_the_cycle_collector():
         gc.garbage.clear()
         gc.enable()
     assert stranded == 0
+
+
+def test_no_grad_builds_no_tape_and_keeps_the_values():
+    w = Parameter(np.random.default_rng(22).normal(size=(3, 3)))
+    with no_grad():
+        free = ((w @ w.T).sigmoid() * 2.0).clip(0.1, 1.5).sum()
+    tracked = ((w @ w.T).sigmoid() * 2.0).clip(0.1, 1.5).sum()
+    assert free._grad_fn is None and free._parents == ()
+    assert tracked._grad_fn is not None
+    assert free.value == tracked.value
+
+
+def test_no_grad_is_restored_when_the_block_raises():
+    w = Parameter(np.ones((2, 2)))
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside the block")
+    assert (w * 2.0)._grad_fn is not None

@@ -64,7 +64,7 @@ def test_init_state_wires_every_parameter_group():
     # each view's own-graph branch, message-passed once along its
     # row-normalized graph (order 2 in toy_config)
     for (x, g), specific in zip(dataset.views, state.specific):
-        a = row_normalize(add_self_loops(g)).values
+        a = row_normalize(add_self_loops(g))
         assert np.allclose(a.sum(axis=1), 1.0)
         assert np.allclose(specific, 2.0 * x + a @ x + a @ (a @ x))
 
@@ -85,7 +85,7 @@ def test_zero_loss_weights_reduce_total_to_reconstruction():
     config = toy_config(gamma_c=0.0, gamma_e=0.0)
     state = init_state(dataset, config)
     artifacts = prepare_epoch(state, dataset, config)
-    _, parts, _ = build_loss(state, dataset, config, artifacts, training=True)
+    _, parts, _ = build_loss(state, dataset, config, artifacts)
     assert parts["total"].value == parts["reconstruction"].value
 
 

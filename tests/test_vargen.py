@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mvgc.graph import Graph
 from mvgc.nncore import Parameter, Tensor, binary_cross_entropy, grad_check
 from mvgc.vargen import (
-    PosteriorLogits,
     PosteriorNet,
     compute_prior_beta,
     consensus_entropy,
@@ -35,20 +34,20 @@ def graph_pair(n=6, seed=0, density=0.4):
 def test_prior_of_unanimous_edge_is_one():
     g = Graph(np.ones((3, 3)))
     prior = compute_prior_beta([g, g], beliefs=(1.0, 1.0))
-    assert np.allclose(prior.beta, 1.0)
+    assert np.allclose(prior, 1.0)
 
 
 def test_prior_of_unanimous_non_edge_hits_the_floor():
     g = Graph(np.zeros((3, 3)))
     prior = compute_prior_beta([g, g], beliefs=(1.0, 1.0))
-    assert np.allclose(prior.beta, 1e-6)
+    assert np.allclose(prior, 1e-6)
 
 
 def test_prior_of_split_vote_is_half():
     g1 = Graph(np.ones((2, 2)))
     g0 = Graph(np.zeros((2, 2)))
     prior = compute_prior_beta([g1, g0], beliefs=(1.0, 1.0))
-    assert np.allclose(prior.beta, 0.5)
+    assert np.allclose(prior, 0.5)
 
 
 def test_prior_weighting_follows_beliefs():
@@ -56,7 +55,7 @@ def test_prior_weighting_follows_beliefs():
     g0 = Graph(np.zeros((2, 2)))
     prior = compute_prior_beta([g1, g0], beliefs=(0.8, 0.9))
     # edge vote 0.8 plus non-edge vote 1 - 0.9, normalized by 1.7
-    assert np.allclose(prior.beta, 0.9 / 1.7)
+    assert np.allclose(prior, 0.9 / 1.7)
 
 
 def test_prior_validates_inputs():
@@ -74,46 +73,29 @@ def test_prior_validates_inputs():
 def test_kl_upper_bound_is_sum_of_log_inverse_beta():
     graphs = graph_pair(seed=3)
     prior = compute_prior_beta(graphs, beliefs=(0.9, 0.7))
-    assert kl_upper_bound(prior) == pytest.approx(np.log(1.0 / prior.beta).sum())
+    assert kl_upper_bound(prior) == pytest.approx(np.log(1.0 / prior).sum())
 
 
 def test_eval_sample_is_the_noise_free_sigmoid():
     alpha = np.random.default_rng(0).normal(size=(5, 5))
-    logits = PosteriorLogits(alpha=Tensor(alpha), k_embed=None, q_embed=None)
-    sample = sample_consensus(logits, tau=5.0, mode="eval")
-    assert np.allclose(sample.s.value, 1.0 / (1.0 + np.exp(-alpha / 5.0)))
+    sample = sample_consensus(Tensor(alpha), tau=5.0)
+    assert np.allclose(sample.value, 1.0 / (1.0 + np.exp(-alpha / 5.0)))
 
 
 def test_train_sample_replays_a_fixed_noise_matrix():
     alpha = np.random.default_rng(1).normal(size=(4, 4))
-    logits = PosteriorLogits(alpha=Tensor(alpha), k_embed=None, q_embed=None)
     noise = np.random.default_rng(2).logistic(size=(4, 4))
-    first = sample_consensus(logits, tau=2.0, mode="train", noise=noise)
-    second = sample_consensus(logits, tau=2.0, mode="train", noise=noise)
-    assert np.array_equal(first.s.value, second.s.value)
+    first = sample_consensus(Tensor(alpha), tau=2.0, noise=noise)
+    second = sample_consensus(Tensor(alpha), tau=2.0, noise=noise)
+    assert np.array_equal(first.value, second.value)
     assert np.allclose(
-        first.s.value, 1.0 / (1.0 + np.exp(-(alpha + noise) / 2.0))
+        first.value, 1.0 / (1.0 + np.exp(-(alpha + noise) / 2.0))
     )
 
 
-def test_rng_sampling_draws_the_shared_logistic_noise():
-    alpha = np.random.default_rng(3).normal(size=(5, 5))
-    logits = PosteriorLogits(alpha=Tensor(alpha), k_embed=None, q_embed=None)
-    drawn = sample_consensus(logits, 2.0, rng=np.random.default_rng(4))
-    noise = logistic_noise(np.random.default_rng(4), (5, 5))
-    replayed = sample_consensus(logits, 2.0, noise=noise)
-    assert np.all(np.isfinite(noise))
-    assert np.array_equal(drawn.s.value, replayed.s.value)
-
-
 def test_sample_consensus_validates_arguments():
-    logits = PosteriorLogits(alpha=Tensor(np.zeros((2, 2))), k_embed=None, q_embed=None)
     with pytest.raises(ValueError):
-        sample_consensus(logits, tau=0.0, mode="eval")
-    with pytest.raises(ValueError):
-        sample_consensus(logits, tau=1.0, mode="train")
-    with pytest.raises(ValueError):
-        sample_consensus(logits, tau=1.0, mode="test")
+        sample_consensus(Tensor(np.zeros((2, 2))), tau=0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -121,19 +103,19 @@ def test_sample_consensus_validates_arguments():
 def test_relaxed_sample_stays_strictly_inside_unit_interval(seed, tau):
     rng = np.random.default_rng(seed)
     alpha = Tensor(rng.normal(scale=10.0, size=(6, 6)))
-    logits = PosteriorLogits(alpha=alpha, k_embed=None, q_embed=None)
-    s = sample_consensus(logits, tau=tau, rng=rng, mode="train").s.value
+    s = sample_consensus(alpha, tau, logistic_noise(rng, (6, 6))).value
+    assert np.all(np.isfinite(s))
     assert (s > 0.0).all() and (s < 1.0).all()
 
 
 def test_larger_temperature_shrinks_sample_spread():
-    rng = np.random.default_rng(4)
-    alpha = Tensor(rng.normal(size=(30, 30)))
-    logits = PosteriorLogits(alpha=alpha, k_embed=None, q_embed=None)
+    alpha = Tensor(np.random.default_rng(4).normal(size=(30, 30)))
     spreads = []
     for tau in (0.5, 5.0, 50.0):
         draws = [
-            sample_consensus(logits, tau, rng=np.random.default_rng(i)).s.value
+            sample_consensus(
+                alpha, tau, logistic_noise(np.random.default_rng(i), (30, 30))
+            ).value
             for i in range(40)
         ]
         spreads.append(np.var(np.stack(draws)))
@@ -141,12 +123,8 @@ def test_larger_temperature_shrinks_sample_spread():
 
 
 def test_normalize_consensus_rows_sum_to_one():
-    logits = PosteriorLogits(
-        alpha=Tensor(np.random.default_rng(5).normal(size=(4, 4))),
-        k_embed=None,
-        q_embed=None,
-    )
-    s_norm = normalize_consensus(sample_consensus(logits, 5.0, mode="eval"))
+    alpha = Tensor(np.random.default_rng(5).normal(size=(4, 4)))
+    s_norm = normalize_consensus(sample_consensus(alpha, 5.0))
     assert np.allclose(s_norm.value.sum(axis=1), 1.0)
 
 
@@ -169,12 +147,9 @@ def test_elbo_composes_reconstruction_entropy_and_bound():
     graphs = graph_pair(seed=8)
     prior = compute_prior_beta(graphs, beliefs=(1.0, 1.0))
     z = Tensor(np.random.default_rng(9).normal(size=(6, 3)))
-    logits = PosteriorLogits(
-        alpha=Tensor(np.random.default_rng(10).normal(size=(6, 6))),
-        k_embed=None,
-        q_embed=None,
+    sample = sample_consensus(
+        Tensor(np.random.default_rng(10).normal(size=(6, 6))), 5.0
     )
-    sample = sample_consensus(logits, 5.0, mode="eval")
     decoded = [decode_adjacency(z) for _ in graphs]
 
     got = elbo_loss(graphs, decoded, sample, kl_upper_bound(prior)).value
@@ -189,8 +164,7 @@ def test_elbo_composes_reconstruction_entropy_and_bound():
 def test_elbo_rejects_mismatched_decodings():
     graphs = graph_pair(seed=11)
     prior = compute_prior_beta(graphs, beliefs=(1.0, 1.0))
-    logits = PosteriorLogits(alpha=Tensor(np.zeros((6, 6))), k_embed=None, q_embed=None)
-    sample = sample_consensus(logits, 5.0, mode="eval")
+    sample = sample_consensus(Tensor(np.zeros((6, 6))), 5.0)
     with pytest.raises(ValueError):
         elbo_loss(
             graphs, [decode_adjacency(Tensor(np.zeros((6, 2))))], sample,
@@ -205,11 +179,7 @@ def test_elbo_gradient_reaches_the_posterior_logits():
     z = Parameter(np.random.default_rng(14).normal(scale=0.3, size=(6, 3)))
 
     def loss_fn():
-        sample = sample_consensus(
-            PosteriorLogits(alpha=alpha, k_embed=None, q_embed=None),
-            5.0,
-            mode="eval",
-        )
+        sample = sample_consensus(alpha, 5.0)
         return elbo_loss(
             graphs, [decode_adjacency(z)] * 2, sample, kl_upper_bound(prior)
         )
