@@ -1,4 +1,8 @@
-"""Fusion, k-means, self-supervised belief updates, and the clustering loss."""
+"""Fusion, k-means, self-supervised belief updates, and the clustering loss.
+
+k-means runs all its restarts together: each ++ seeding step and each Lloyd
+step reads the embedding once for every restart, through one matrix product.
+"""
 
 from dataclasses import dataclass
 
@@ -55,68 +59,102 @@ def fuse(embeddings, beliefs):
     )
 
 
-def _point_d2(z, z_sq, idx):
-    d2 = z_sq + z_sq[idx] - 2.0 * (z @ z[idx])
+def _seed_d2(z, z_sq, idx):
+    """Squared distances from z[idx[r]] to every point, one row per restart."""
+    d2 = z_sq + z_sq[idx][:, None] - 2.0 * (z[idx] @ z.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _kmeans_pp_init(z, c, rng, z_sq):
-    """Distance-squared seeding via inverse-cdf draws; degenerate weights fall
-    back to the lowest unchosen index so duplicates cannot stall the draw."""
+def _kmeans_pp_init(z, c, rngs, z_sq):
+    """Distance-squared seeding for every restart at once, each drawing from
+    its own rng by inverse cdf; degenerate weights fall back to the lowest
+    unchosen index so duplicates cannot stall the draw.  Returns the
+    restarts x c x d initial centroids."""
     n = z.shape[0]
-    chosen = np.empty(c, dtype=int)
-    chosen[0] = rng.integers(n)
-    d2 = _point_d2(z, z_sq, chosen[0])
+    chosen = np.empty((len(rngs), c), dtype=int)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    d2 = _seed_d2(z, z_sq, chosen[:, 0])
     for j in range(1, c):
-        total = float(d2.sum())
-        if total > 0.0:
-            cdf = np.cumsum(d2)
-            idx = min(
-                int(np.searchsorted(cdf, rng.random() * total, side="right")),
-                n - 1,
-            )
-        else:
-            mask = np.ones(n, dtype=bool)
-            mask[chosen[:j]] = False
-            free = np.flatnonzero(mask)
-            idx = int(free[0]) if free.size else 0
-        chosen[j] = idx
-        np.minimum(d2, _point_d2(z, z_sq, idx), out=d2)
-    return z[chosen].copy()
+        totals = d2.sum(axis=1)
+        cdf = np.cumsum(d2, axis=1)
+        for r, rng in enumerate(rngs):
+            if totals[r] > 0.0:
+                draw = rng.random() * totals[r]
+                idx = min(int(np.searchsorted(cdf[r], draw, side="right")), n - 1)
+            else:
+                mask = np.ones(n, dtype=bool)
+                mask[chosen[r, :j]] = False
+                free = np.flatnonzero(mask)
+                idx = int(free[0]) if free.size else 0
+            chosen[r, j] = idx
+        np.minimum(d2, _seed_d2(z, z_sq, chosen[:, j]), out=d2)
+    return z[chosen]
 
 
 def _assign(z, z_sq, centroids):
-    d2 = z_sq[:, None] + (centroids * centroids).sum(axis=1) - 2.0 * (z @ centroids.T)
+    """Nearest centroid of every point under each restart's centroids
+    (restarts x c x d), from one n x (restarts * c) product.  Returns labels
+    and squared distances as restarts x n arrays."""
+    runs, c, _ = centroids.shape
+    flat = centroids.reshape(runs * c, -1)
+    d2 = z_sq[:, None] + (flat * flat).sum(axis=1) - 2.0 * (z @ flat.T)
     np.maximum(d2, 0.0, out=d2)
-    return d2.argmin(axis=1), d2.min(axis=1)
+    d2 = d2.reshape(-1, runs, c)
+    labels = d2.argmin(axis=2)
+    # the minimum column by column: numpy's min over a short last axis is
+    # several times slower
+    fit = d2[:, :, 0].copy()
+    for j in range(1, c):
+        np.minimum(fit, d2[:, :, j], out=fit)
+    return np.ascontiguousarray(labels.T), np.ascontiguousarray(fit.T)
 
 
 def _lloyd(z, centroids, max_iter, tol, z_sq):
-    n, c = z.shape[0], centroids.shape[0]
-    prev_inertia = np.inf
+    """Lloyd steps for every restart together; a restart leaves the batch
+    when its own inertia stops falling.  Returns labels (restarts x n), the
+    centroids and each restart's inertia."""
+    runs, c, _ = centroids.shape
+    n = z.shape[0]
+    prev_inertia = np.full(runs, np.inf)
+    active = np.arange(runs)
     for _ in range(max_iter):
-        labels, fit = _assign(z, z_sq, centroids)
-        counts = np.bincount(labels, minlength=c)
-        for j in np.flatnonzero(counts == 0):
-            # deterministic rescue: hand the cluster the worst-fit point
-            stray = int(fit.argmax())
-            labels[stray] = j
-            fit[stray] = 0.0
-            counts = np.bincount(labels, minlength=c)
-        inertia = float(fit.sum())
-        members = np.zeros((c, n))
-        members[labels, np.arange(n)] = 1.0
-        centroids = (members @ z) / counts[:, None]
-        if prev_inertia - inertia <= tol * max(abs(prev_inertia), 1e-12):
+        labels, fit = _assign(z, z_sq, centroids[active])
+        offsets = c * np.arange(active.size)[:, None]
+        counts = np.bincount(
+            (labels + offsets).ravel(), minlength=active.size * c
+        ).reshape(-1, c)
+        for r in np.flatnonzero((counts == 0).any(axis=1)):
+            for j in np.flatnonzero(counts[r] == 0):
+                # deterministic rescue: hand the cluster the worst-fit point
+                stray = int(fit[r].argmax())
+                labels[r, stray] = j
+                fit[r, stray] = 0.0
+                counts[r] = np.bincount(labels[r], minlength=c)
+        inertia = fit.sum(axis=1)
+        members = np.zeros((active.size * c, n))
+        members[(labels + offsets).ravel(), np.tile(np.arange(n), active.size)] = 1.0
+        sums = members @ z
+        sums /= counts.reshape(-1, 1)
+        centroids[active] = sums.reshape(active.size, c, -1)
+        prev = prev_inertia[active]
+        with np.errstate(invalid="ignore"):
+            done = prev - inertia <= tol * np.maximum(np.abs(prev), 1e-12)
+        prev_inertia[active] = inertia
+        active = active[~done]
+        if active.size == 0:
             break
-        prev_inertia = inertia
     labels, fit = _assign(z, z_sq, centroids)
-    return labels, centroids, float(fit.sum())
+    return labels, centroids, fit.sum(axis=1)
 
 
 def kmeans(z, c, seed=0, restarts=10, max_iter=300, tol=1e-6):
-    """Best-inertia k-means over seeded ++ restarts; deterministic given seed."""
+    """Best-inertia k-means over seeded ++ restarts; deterministic given seed.
+
+    Every restart draws from its own rng stream and stops on its own test,
+    and the first restart with the lowest inertia wins, as if the restarts
+    ran one after another; they run together (see the module docstring).
+    """
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
     if c > n:
@@ -124,14 +162,20 @@ def kmeans(z, c, seed=0, restarts=10, max_iter=300, tol=1e-6):
     if c <= 0:
         raise ValueError("cluster count must be positive")
     z_sq = (z * z).sum(axis=1)
-    best = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        centroids = _kmeans_pp_init(z, c, rng, z_sq)
-        labels, centroids, inertia = _lloyd(z, centroids, max_iter, tol, z_sq)
-        if best is None or inertia < best.inertia:
-            best = ClusterResult(labels=labels, centroids=centroids, inertia=inertia)
-    return best
+    rngs = [
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(seed).spawn(restarts)
+    ]
+    centroids = _kmeans_pp_init(z, c, rngs, z_sq)
+    labels, centroids, inertia = _lloyd(z, centroids, max_iter, tol, z_sq)
+    best = 0
+    for r in range(1, restarts):
+        if inertia[r] < inertia[best]:
+            best = r
+    return ClusterResult(
+        labels=labels[best].copy(), centroids=centroids[best].copy(),
+        inertia=float(inertia[best]),
+    )
 
 
 def update_beliefs(pseudo_labels, view_labels, rho):

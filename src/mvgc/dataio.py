@@ -273,6 +273,9 @@ def _load_edges(path, n, directed):
     return add_self_loops(Graph(adj))
 
 
+_LABEL_MIN, _LABEL_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
 def read_labels(path, n=None):
     """Integer labels, one per nonblank line.  With ``n``, the file must hold
     exactly ``n`` of them; without, at least one."""
@@ -284,11 +287,17 @@ def read_labels(path, n=None):
             if not line:
                 continue
             try:
-                labels.append(int(line))
+                label = int(line)
             except ValueError:
                 raise DatasetError(
                     f"{path.name} line {lineno}: non-integer label {line!r}"
                 ) from None
+            if not _LABEL_MIN <= label <= _LABEL_MAX:
+                raise DatasetError(
+                    f"{path.name} line {lineno}: label {line!r} does not fit "
+                    f"in 64 bits"
+                )
+            labels.append(label)
     if n is None:
         if not labels:
             raise DatasetError(f"{path.name}: no labels found")

@@ -63,8 +63,8 @@ from .vargen import (
 
 
 class TrainingError(Exception):
-    """Raised when an epoch produces a non-finite loss term, or the trained
-    model a non-finite final embedding."""
+    """Raised when an epoch produces a non-finite loss term or gradient, or
+    the trained model a non-finite final embedding."""
 
 
 # fixed codes keep the per-(epoch, purpose) RNG streams disjoint
@@ -103,12 +103,18 @@ class TrainState:
     optimizer: OptimizerState
     epoch: int = 0
 
+    def parameter_groups(self):
+        """(name, parameters) per group, in optimizer order; encoders are
+        numbered from 1, as the views' files are."""
+        return [
+            ("posterior", self.posterior.parameters()),
+            *((f"encoder {v}", enc.parameters())
+              for v, enc in enumerate(self.encoders, start=1)),
+            ("global decoder", self.global_decoder.parameters()),
+        ]
+
     def parameters(self):
-        params = list(self.posterior.parameters())
-        for enc in self.encoders:
-            params.extend(enc.parameters())
-        params.extend(self.global_decoder.parameters())
-        return params
+        return [p for _, group in self.parameter_groups() for p in group]
 
 
 @dataclass(frozen=True)
@@ -291,15 +297,31 @@ def train_epoch(state, dataset, config):
                 f"epoch {state.epoch}: loss term {name!r} is {value}"
             )
         report[name] = value
-    params = state.parameters()
-    zero_grads(params)
+    zero_grads(state.parameters())
     total.backward()
+    _check_gradients(state)
     adam_step(state.optimizer)
     state.beliefs = artifacts.beliefs
     state.epoch += 1
     report["beliefs"] = artifacts.beliefs.b
     report["pseudo_labels"] = artifacts.pseudo_labels
     return report
+
+
+def _check_gradients(state):
+    """Raise ``TrainingError`` naming the epoch and parameter group of the
+    first non-finite gradient, before Adam spreads it into every moment.
+
+    One squared norm per gradient: a finite norm proves every entry finite,
+    and only a non-finite one (possibly an overflow of finite entries) is
+    checked entry by entry."""
+    for name, params in state.parameter_groups():
+        for p in params:
+            g = p.grad
+            if not np.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
+                raise TrainingError(
+                    f"epoch {state.epoch}: {name} gradient is not finite"
+                )
 
 
 # glibc's mallopt parameter number for M_TOP_PAD, and the freed heap it keeps

@@ -84,7 +84,7 @@ def compute_prior_beta(graphs, beliefs, eps=1e-6):
         raise ValueError("all beliefs are zero")
     votes = np.zeros((n, n))
     for g, bv in zip(graphs, b):
-        votes += bv * g.adj + (1.0 - bv) * (1.0 - g.adj)
+        votes += np.where(g.adj > 0, bv, 1.0 - bv)
     return np.clip(votes / total, eps, 1.0)
 
 

@@ -200,6 +200,10 @@ def test_metrics_subcommand_validates_label_files(tmp_path, capsys):
     assert main(["metrics", str(truth), str(pred)]) == 2
     assert "non-integer label" in capsys.readouterr().err
 
+    pred.write_text(f"0\n{10**30}\n")
+    assert main(["metrics", str(truth), str(pred)]) == 2
+    assert "pred.txt line 2" in capsys.readouterr().err
+
 
 def test_synth_noisy_view_flag_is_one_based(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "x"), "--n", "12", "--c", "2",

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvgc.cluster import (
     Beliefs,
+    ClusterResult,
     clustering_loss,
     fuse,
     kmeans,
@@ -71,6 +72,118 @@ def test_kmeans_validates_cluster_count():
         kmeans(z, 0, seed=0)
     with pytest.raises(ValueError):
         kmeans(z, 4, seed=0)
+
+
+def _reference_kmeans(z, c, seed=0, restarts=10, max_iter=300, tol=1e-6):
+    """k-means with the restarts run one after another, each reading z for
+    every seeding step and every Lloyd step: the oracle for ``kmeans``."""
+    z = np.asarray(z, dtype=np.float64)
+    n = z.shape[0]
+    z_sq = (z * z).sum(axis=1)
+
+    def point_d2(idx):
+        d2 = z_sq + z_sq[idx] - 2.0 * (z @ z[idx])
+        np.maximum(d2, 0.0, out=d2)
+        return d2
+
+    def assign(centroids):
+        d2 = z_sq[:, None] + (centroids * centroids).sum(axis=1) - 2.0 * (z @ centroids.T)
+        np.maximum(d2, 0.0, out=d2)
+        return d2.argmin(axis=1), d2.min(axis=1)
+
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        chosen = np.empty(c, dtype=int)
+        chosen[0] = rng.integers(n)
+        d2 = point_d2(chosen[0])
+        for j in range(1, c):
+            total = float(d2.sum())
+            if total > 0.0:
+                cdf = np.cumsum(d2)
+                idx = min(
+                    int(np.searchsorted(cdf, rng.random() * total, side="right")),
+                    n - 1,
+                )
+            else:
+                mask = np.ones(n, dtype=bool)
+                mask[chosen[:j]] = False
+                free = np.flatnonzero(mask)
+                idx = int(free[0]) if free.size else 0
+            chosen[j] = idx
+            np.minimum(d2, point_d2(idx), out=d2)
+        centroids = z[chosen].copy()
+
+        prev_inertia = np.inf
+        for _ in range(max_iter):
+            labels, fit = assign(centroids)
+            counts = np.bincount(labels, minlength=c)
+            for j in np.flatnonzero(counts == 0):
+                stray = int(fit.argmax())
+                labels[stray] = j
+                fit[stray] = 0.0
+                counts = np.bincount(labels, minlength=c)
+            inertia = float(fit.sum())
+            members = np.zeros((c, n))
+            members[labels, np.arange(n)] = 1.0
+            centroids = (members @ z) / counts[:, None]
+            if prev_inertia - inertia <= tol * max(abs(prev_inertia), 1e-12):
+                break
+            prev_inertia = inertia
+        labels, fit = assign(centroids)
+        inertia = float(fit.sum())
+        if best is None or inertia < best.inertia:
+            best = ClusterResult(labels=labels, centroids=centroids, inertia=inertia)
+    return best
+
+
+@st.composite
+def kmeans_problems(draw):
+    """Small integer-valued point sets with repeated rows.  Integer
+    coordinates make every seeding distance and centroid sum exact, so the
+    summation order inside BLAS, which differs between one product per
+    restart and one for all restarts, cannot move a ++ draw or a centroid."""
+    d = draw(st.integers(1, 4))
+    distinct = draw(st.integers(1, 8))
+    pool = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+        min_size=distinct, max_size=distinct,
+    ))
+    rows = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=24))
+    z = np.array(pool, dtype=np.float64)[rows]
+    n = len(rows)
+    c = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return z, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kmeans_problems(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 10]),
+    st.sampled_from([(300, 1e-6), (300, 0.0), (2, 0.0), (1, 1e-6), (0, 1e-6)]),
+)
+# one location, three clusters: the ++ draw takes the total == 0 fallback
+# and two clusters start empty, so the rescue runs
+@example((np.zeros((5, 2)), 3), 0, 10, (300, 1e-6))
+# a cluster empties after the first update, while the fits differ, so the
+# rescue's choice of point shows in the labels
+@example((np.array([[0.0], [1], [-1], [-1], [1], [2], [-2], [-2]]), 6), 0, 1, (300, 0.0))
+# the two restarts converge after different numbers of Lloyd steps
+@example((np.array([[-3.0, 0], [-3, 2], [3, 1], [-3, 0], [-1, 2], [2, 2], [-3, 3],
+                    [1, 0], [-1, 0], [-2, 2], [-3, 0], [1, 1]]), 4), 0, 2, (300, 0.0))
+def test_kmeans_matches_restarts_run_one_after_another(problem, seed, restarts, stop):
+    z, c = problem
+    max_iter, tol = stop
+    with np.errstate(invalid="ignore", divide="ignore"):
+        expected = _reference_kmeans(z, c, seed, restarts, max_iter, tol)
+        got = kmeans(z, c, seed=seed, restarts=restarts, max_iter=max_iter, tol=tol)
+    assert np.array_equal(got.labels, expected.labels)
+    assert np.array_equal(got.centroids, expected.centroids, equal_nan=True)
+    if np.isnan(expected.inertia):
+        assert np.isnan(got.inertia)
+    else:
+        assert got.inertia == pytest.approx(expected.inertia, rel=1e-12, abs=1e-300)
 
 
 def test_fuse_scales_each_view_by_its_belief():

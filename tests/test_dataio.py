@@ -242,6 +242,10 @@ def test_load_reports_malformed_files_by_name_and_line(tmp_path):
     with pytest.raises(DatasetError, match=r"labels\.txt line 3: non-integer"):
         load_dataset(root)
 
+    (root / "labels.txt").write_text(f"0\n1\n0\n{2**63}\n")
+    with pytest.raises(DatasetError, match=r"labels\.txt line 4: .* 64 bits"):
+        load_dataset(root)
+
 
 @pytest.mark.parametrize(
     "meta, message",
@@ -290,6 +294,21 @@ _MUTATIONS = st.one_of(
     st.tuples(st.just("zero_meta"), st.sampled_from(["n", "V", "c", "directed"])),
     st.tuples(st.just("edge"), st.integers(1, 2), st.sampled_from([-1, 12, 13, 10**6])),
     st.tuples(st.just("drop_graph"), st.integers(1, 2)),
+    st.tuples(
+        st.just("label"), st.integers(0, 11),
+        st.sampled_from(
+            ["text", "1.5", "", "-1", "3", str(2**63 - 1), str(2**63), str(10**30)]
+        ),
+    ),
+    st.tuples(st.just("label_count"), st.sampled_from([-12, -1, 1, 5])),
+    st.tuples(
+        st.just("meta_value"), st.sampled_from(["n", "V", "c"]),
+        st.sampled_from(["abc", "2.5", "", "1e3", "0x10"]),
+    ),
+    st.tuples(
+        st.just("duplicate_meta"), st.sampled_from(["n", "V", "c", "directed"]),
+        st.sampled_from(["abc", "0", "1", "2", "3", "12", "13", "true"]),
+    ),
 )
 
 
@@ -318,12 +337,39 @@ def _mutate(root, mutation):
         view, bad = args
         with (root / f"graph_v{view}.tsv").open("a") as handle:
             handle.write(f"0\t{bad}\n")
+    elif kind == "label":
+        row, text = args
+        path = root / "labels.txt"
+        lines = path.read_text().splitlines()
+        if row < len(lines):
+            lines[row] = text
+        else:
+            lines.append(text)
+        path.write_text("\n".join(lines) + "\n")
+    elif kind == "label_count":
+        (delta,) = args
+        path = root / "labels.txt"
+        lines = path.read_text().splitlines()
+        lines = lines[:delta] if delta < 0 else lines + ["0"] * delta
+        path.write_text("".join(line + "\n" for line in lines))
+    elif kind == "meta_value":
+        key, value = args
+        path = root / "meta"
+        lines = [
+            f"{key}={value}" if line.split("=", 1)[0] == key else line
+            for line in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+    elif kind == "duplicate_meta":
+        key, value = args
+        with (root / "meta").open("a") as handle:
+            handle.write(f"{key}={value}\n")
     else:
         (view,) = args
         (root / f"graph_v{view}.tsv").unlink(missing_ok=True)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.lists(_MUTATIONS, min_size=1, max_size=3), st.integers(1, 14))
 def test_mutated_dataset_directories_load_or_raise_dataset_error(mutations, knn_k):
     with tempfile.TemporaryDirectory() as tmp:
@@ -336,6 +382,7 @@ def test_mutated_dataset_directories_load_or_raise_dataset_error(mutations, knn_
         except DatasetError:
             return
         assert all(np.isfinite(x).all() for x in dataset.features)
+        assert dataset.labels is None or len(dataset.labels) == dataset.n
 
 
 def test_dataset_container_validates_shape_agreement():

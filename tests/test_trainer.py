@@ -117,6 +117,31 @@ def test_nan_after_the_last_step_fails_the_fit(monkeypatch):
         fit(toy_dataset(), toy_config(epochs=1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradient_fails_the_epoch_that_made_it(monkeypatch, bad):
+    states = []
+    real_init, real_zero = trainer.init_state, trainer.zero_grads
+
+    def recorded_init(dataset, config):
+        states.append(real_init(dataset, config))
+        return states[-1]
+
+    def poisoned_zero(params):
+        real_zero(params)
+        if states[0].epoch == 0:
+            # backward accumulates into the zeroed gradient, so the value stays
+            states[0].encoders[1].parameters()[0].grad[0, 0] = bad
+
+    monkeypatch.setattr(trainer, "init_state", recorded_init)
+    monkeypatch.setattr(trainer, "zero_grads", poisoned_zero)
+    epochs_done = []
+    with pytest.raises(TrainingError, match="^epoch 0: encoder 2 gradient is not finite$"):
+        fit(toy_dataset(), toy_config(epochs=3),
+            callback=lambda epoch, report: epochs_done.append(epoch))
+    assert epochs_done == []
+    assert states[0].optimizer.step == 0
+
+
 def test_fit_histories_metrics_and_shapes():
     dataset = toy_dataset()
     config = toy_config()
