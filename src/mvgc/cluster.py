@@ -110,6 +110,16 @@ def _assign(z, z_sq, centroids):
     return np.ascontiguousarray(labels.T), np.ascontiguousarray(fit.T)
 
 
+def _stray(labels, fit, counts):
+    """The point a deterministic rescue hands an empty cluster: the worst
+    fit while any fit is positive; once every point sits on its centroid,
+    the lowest-index point whose cluster keeps another member, so the rescue
+    never empties a cluster (c > n is rejected, so such a point exists)."""
+    if fit.max() > 0.0:
+        return int(fit.argmax())
+    return int(np.flatnonzero(counts[labels] > 1)[0])
+
+
 def _lloyd(z, centroids, max_iter, tol, z_sq):
     """Lloyd steps for every restart together; a restart leaves the batch
     when its own inertia stops falling.  Returns labels (restarts x n), the
@@ -126,8 +136,7 @@ def _lloyd(z, centroids, max_iter, tol, z_sq):
         ).reshape(-1, c)
         for r in np.flatnonzero((counts == 0).any(axis=1)):
             for j in np.flatnonzero(counts[r] == 0):
-                # deterministic rescue: hand the cluster the worst-fit point
-                stray = int(fit[r].argmax())
+                stray = _stray(labels[r], fit[r], counts[r])
                 labels[r, stray] = j
                 fit[r, stray] = 0.0
                 counts[r] = np.bincount(labels[r], minlength=c)

@@ -167,6 +167,7 @@ def _parse_meta(path):
     if not path.is_file():
         raise DatasetError(f"meta file not found: {path}")
     entries = {}
+    first_line = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -174,6 +175,11 @@ def _parse_meta(path):
         if "=" not in line:
             raise DatasetError(f"meta line {lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise DatasetError(
+                f"meta line {lineno}: key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         entries[key] = value
     for key in ("n", "V", "c"):
         if key not in entries:

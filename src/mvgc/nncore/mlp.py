@@ -1,10 +1,16 @@
-"""MLP building blocks: layer specs, seeded initialization, forward pass."""
+"""MLP building blocks: layer specs, seeded initialization, forward pass.
+
+Each layer is one tape node: the affine map, the activation and the dropout
+mask run in place on one array, and the node keeps only the layer's output
+and its dropout mask for the backward.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .tensor import Parameter, _wrap
+from .tensor import Parameter, Tensor, _record, _tracked, _unbroadcast, _wrap
 
 _ACTIVATIONS = ("relu", "sigmoid", "none")
 _INIT_SCHEMES = ("xavier", "kaiming")
@@ -69,10 +75,59 @@ def init_params(spec, seed):
     return params
 
 
+def _dropout_mask(shape, rate, rng):
+    """Inverted-dropout multiplier: 0 for a dropped entry, 1/(1-rate) else."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
 def dropout(x, rate, rng):
     """Inverted dropout: zero a ``rate`` fraction and rescale the survivors."""
-    mask = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
-    return x * mask
+    return x * _dropout_mask(x.value.shape, rate, rng)
+
+
+def _layer(h, w, b, activation, rate, rng):
+    """One layer as one tape node: activation(h @ w + b), then inverted
+    dropout when ``rng`` is given.
+
+    The node keeps the output and the dropout mask.  The relu derivative is
+    read from the output: out > 0 exactly where the pre-activation is,
+    except where dropout zeroed the entry, and there the masked gradient is
+    already a signed zero that either factor keeps.  The sigmoid derivative
+    is read from the sigmoid values, which are the output unless dropout
+    rescaled them.
+    """
+    y = h.value @ w.value
+    y += b.value
+    if activation == "relu":
+        np.maximum(y, 0.0, out=y)
+    elif activation == "sigmoid":
+        special.expit(y, out=y)
+    act, mask = y, None
+    if rng is not None:
+        mask = _dropout_mask(y.shape, rate, rng)
+        y = act * mask if activation == "sigmoid" else np.multiply(act, mask, out=act)
+    out = Tensor(y)
+    th, tw, tb = _tracked(h), _tracked(w), _tracked(b)
+    if not (th or tw or tb):
+        return out
+
+    def grad_fn(g):
+        if mask is not None:
+            g = g * mask
+        if activation == "relu":
+            g = g * (y > 0)
+        elif activation == "sigmoid":
+            g = g * act * (1.0 - act)
+        pairs = []
+        if tb:
+            pairs.append((b, _unbroadcast(g, b.value.shape)))
+        if th:
+            pairs.append((h, g @ w.value.T))
+        if tw:
+            pairs.append((w, h.value.T @ g))
+        return pairs
+
+    return _record(out, (h, w, b), grad_fn)
 
 
 def mlp_apply(params, spec, x, rng=None):
@@ -86,15 +141,11 @@ def mlp_apply(params, spec, x, rng=None):
         )
     if len(params) != 2 * spec.num_layers:
         raise ValueError("parameter list does not match spec")
-    use_dropout = rng is not None and spec.dropout_rate > 0.0
+    if spec.dropout_rate == 0.0:
+        rng = None
     for layer in range(spec.num_layers):
-        w, b = params[2 * layer], params[2 * layer + 1]
-        h = h @ w + b
-        act = spec.activations[layer]
-        if act == "relu":
-            h = h.relu()
-        elif act == "sigmoid":
-            h = h.sigmoid()
-        if use_dropout:
-            h = dropout(h, spec.dropout_rate, rng)
+        h = _layer(
+            h, params[2 * layer], params[2 * layer + 1],
+            spec.activations[layer], spec.dropout_rate, rng,
+        )
     return h

@@ -3,14 +3,23 @@
 A Tensor wraps a numpy array together with an optional tape node.  Every
 operation that touches a tracked input records its parents and a closure
 mapping the output gradient to input gradients; ``backward`` walks that
-dynamic tape once in reverse topological order and then drops it.  Only the
-operations the pipeline needs are implemented; broadcasting is supported for
-elementwise ops and bias rows, nothing fancier.
+dynamic tape once in reverse topological order.  Only the operations the
+pipeline needs are implemented; broadcasting is supported for elementwise ops
+and bias rows, nothing fancier.
 
-A gradient closure may capture its inputs and plain arrays, never the output
-Tensor it is attached to: that would make a reference cycle (out -> grad_fn
--> out), and the tape would then outlive the loss until the cycle collector
-runs.  Ops whose gradient needs their own result capture the result array.
+A gradient closure keeps only what its own backward reads: its parents and
+the plain arrays it needs.  It never captures the output Tensor it is
+attached to: that would make a reference cycle (out -> grad_fn -> out), and
+the tape would then outlive the loss until the cycle collector runs.  Ops
+whose gradient needs their own result capture the result array.  Where a
+chain of ops runs on every epoch over large arrays, one fused node replaces
+it (``binary_cross_entropy`` here; the MLP layer, the concrete sample and
+the adjacency decoder elsewhere), so its intermediates never reach the tape.
+
+``backward`` consumes the tape node by node: once a node has passed its
+gradient on, its closure and parent links are dropped, so each intermediate
+array is freed as soon as nothing later in the walk reads it.  A consumed
+loss cannot be walked again.
 
 Inside ``no_grad()`` nothing is tracked, so no op records a tape node: a pass
 whose values are all the caller reads builds no tape at all.
@@ -36,7 +45,9 @@ class Tensor:
     gradient closure instead.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_grad_fn")
+    __slots__ = (
+        "value", "grad", "requires_grad", "_parents", "_grad_fn", "__weakref__"
+    )
 
     # keep numpy from elementwise-broadcasting over Tensor operands; binary
     # ops with an ndarray on the left must fall back to our reflected methods
@@ -379,6 +390,8 @@ def binary_cross_entropy(target, prediction, clamp=1e-7):
         return out
 
     def grad_fn(g):
+        # the clamped copy is recomputed rather than kept on the tape
+        q = np.clip(pred.value, clamp, 1.0 - clamp)
         inside = (pred.value >= clamp) & (pred.value <= 1.0 - clamp)
         return ((pred, g * inside * ((q - target) / (q * (1.0 - q)))),)
 
@@ -400,12 +413,27 @@ def bernoulli_entropy(p):
     return _record(out, (a,), grad_fn)
 
 
+_CONSUMED = (
+    "backward: the tape was consumed by an earlier backward; build the loss again"
+)
+
+
+def _consumed(g):
+    """Gradient function left on a node whose tape ``backward`` has freed;
+    ``backward`` refuses such a node before it walks, so this never runs."""
+    raise RuntimeError(_CONSUMED)
+
+
 def backward(loss):
     """Accumulate d(loss)/d(leaf) into every reachable Parameter's ``.grad``.
 
-    The loss must be scalar.  Gradients add up across repeated backward calls
-    until ``zero_grad``.  The tape lives only as long as the loss expression
-    itself; dropping the loss frees it.
+    The loss must be scalar.  Gradients add up across backward calls on
+    separately built losses until ``zero_grad``.  The walk consumes the tape:
+    each node drops its gradient closure and parent links as soon as it has
+    passed its gradient on, so the intermediates it alone kept alive are
+    freed before ``backward`` returns.  Walking a consumed loss again, or a
+    new expression built on a consumed node, raises ``RuntimeError`` before
+    any gradient is touched; rebuild the loss instead.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -423,22 +451,30 @@ def backward(loss):
             continue
         if id(node) in visited:
             continue
+        if node._grad_fn is _consumed:
+            raise RuntimeError(_CONSUMED)
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             if id(parent) not in visited and _tracked(parent):
                 stack.append((parent, False))
 
+    # reverse post-order, popping each node so the list stops holding it
     grads = {id(loss): np.ones((), dtype=np.float64)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
+        grad_fn = node._grad_fn
+        if grad_fn is not None:
+            node._grad_fn = _consumed
+            node._parents = ()
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node.requires_grad:
             node.grad += g
-        if node._grad_fn is None:
+        if grad_fn is None:
             continue
-        for parent, pg in node._grad_fn(g):
+        for parent, pg in grad_fn(g):
             if not _tracked(parent):
                 continue
             held = grads.get(id(parent))

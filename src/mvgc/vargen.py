@@ -11,6 +11,7 @@ entropy of the relaxed sample, and a closed-form upper bound on the KL term.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .nncore import (
     MLPSpec,
@@ -21,6 +22,10 @@ from .nncore import (
     init_params,
     mlp_apply,
 )
+from .nncore.tensor import _record, _tracked, _wrap
+
+# the relaxed sample is nudged this far off exact 0 and 1
+_SAMPLE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,12 +116,28 @@ def sample_consensus(alpha, tau, noise=None):
     ``noise`` is a logistic draw (``logistic_noise``); without it the sample
     sits at the distribution median (U = 0.5) and is deterministic.  Outputs
     are nudged off exact 0/1 so downstream logs stay finite.
+
+    One tape node, computed in place on one n x n array: it keeps the
+    clipped sample and the boolean mask of unclipped entries, and the noise
+    stays off the tape.  Where the mask holds, the clipped value equals the
+    sigmoid, so the gradient reads the sigmoid derivative from the sample.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    alpha = _wrap(alpha)
+    s = alpha.value / tau if noise is None else alpha.value + noise
     if noise is not None:
-        alpha = alpha + noise
-    return (alpha / tau).sigmoid().clip(1e-12, 1.0 - 1e-12)
+        s /= tau
+    special.expit(s, out=s)
+    if not _tracked(alpha):
+        return Tensor(np.clip(s, _SAMPLE_FLOOR, 1.0 - _SAMPLE_FLOOR, out=s))
+    inside = (s >= _SAMPLE_FLOOR) & (s <= 1.0 - _SAMPLE_FLOOR)
+    np.clip(s, _SAMPLE_FLOOR, 1.0 - _SAMPLE_FLOOR, out=s)
+
+    def grad_fn(g):
+        return ((alpha, g * inside * s * (1.0 - s) / tau),)
+
+    return _record(Tensor(s), (alpha,), grad_fn)
 
 
 def normalize_consensus(s):
@@ -136,8 +157,24 @@ def consensus_entropy(s):
 
 
 def decode_adjacency(z):
-    """Reconstruct an adjacency as sigmoid(Z Z^T); symmetric by construction."""
-    return (z @ z.T).sigmoid()
+    """Reconstruct an adjacency as sigmoid(Z Z^T); symmetric by construction.
+
+    One tape node that keeps the n x n output and a copy of Z^T.  Z gets its
+    two gradient contributions, G Z and (Z^T G)^T for the pre-sigmoid
+    gradient G, as two separate pairs: summed in that order they round
+    exactly as the matmul and transpose nodes of sigmoid(Z @ Z.T) do.
+    """
+    z = _wrap(z)
+    zt = z.value.T.copy()
+    out = special.expit(z.value @ zt)
+    if not _tracked(z):
+        return Tensor(out)
+
+    def grad_fn(g):
+        g = g * out * (1.0 - out)
+        return ((z, g @ zt.T), (z, (z.value.T @ g).T))
+
+    return _record(Tensor(out), (z,), grad_fn)
 
 
 def elbo_loss(graphs, decoded, s, kl_bound):

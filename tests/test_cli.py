@@ -1,12 +1,18 @@
 """End-to-end command-line flows on small synthetic datasets."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvgc import trainer
 from mvgc.cli import build_parser, format_metrics_line, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 METRICS_LINE = re.compile(
     r"^NMI=\d+\.\d ARI=-?\d+\.\d ACC=\d+\.\d F1=\d+\.\d$"
@@ -137,6 +143,26 @@ def test_cluster_count_out_of_range_in_meta_exits_two(tmp_path, capsys):
     assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
                  *FAST_FLAGS]) == 2
     assert "meta: c=0" in capsys.readouterr().err
+
+
+def test_repeated_meta_key_exits_two(tmp_path, capsys):
+    data = synth(tmp_path)
+    meta = data / "meta"
+    meta.write_text(meta.read_text() + "n=5\n")
+    capsys.readouterr()
+    assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
+                 *FAST_FLAGS]) == 2
+    assert "key 'n' repeats line" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    result = subprocess.run(
+        [sys.executable, "-m", "mvgc", "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: mvgc")
 
 
 def test_knn_k_not_below_the_node_count_exits_two(tmp_path, capsys):

@@ -119,7 +119,10 @@ def _reference_kmeans(z, c, seed=0, restarts=10, max_iter=300, tol=1e-6):
             labels, fit = assign(centroids)
             counts = np.bincount(labels, minlength=c)
             for j in np.flatnonzero(counts == 0):
-                stray = int(fit.argmax())
+                if fit.max() > 0.0:
+                    stray = int(fit.argmax())
+                else:
+                    stray = next(i for i in range(n) if counts[labels[i]] > 1)
                 labels[stray] = j
                 fit[stray] = 0.0
                 counts = np.bincount(labels, minlength=c)
@@ -184,6 +187,15 @@ def test_kmeans_matches_restarts_run_one_after_another(problem, seed, restarts, 
         assert np.isnan(got.inertia)
     else:
         assert got.inertia == pytest.approx(expected.inertia, rel=1e-12, abs=1e-300)
+
+
+def test_kmeans_with_more_clusters_than_distinct_rows_stays_finite():
+    # every fit is 0, so each empty cluster takes a point from a cluster
+    # that keeps another member instead of all sharing the worst-fit point
+    result = kmeans(np.zeros((5, 2)), 3)
+    assert np.isfinite(result.centroids).all()
+    assert result.inertia == 0.0
+    assert np.array_equal(result.labels, np.zeros(5, dtype=int))
 
 
 def test_fuse_scales_each_view_by_its_belief():

@@ -224,6 +224,10 @@ def test_load_reports_malformed_files_by_name_and_line(tmp_path):
     with pytest.raises(DatasetError, match="must be an integer"):
         load_dataset(root)
 
+    (root / "meta").write_text("n=12\nV=1\n# comment\nn=5\nc=2\n")
+    with pytest.raises(DatasetError, match="meta line 4: key 'n' repeats line 1"):
+        load_dataset(root)
+
     (root / "meta").write_text("n=4\nV=1\nc=2\n")
     with pytest.raises(DatasetError, match="missing features file"):
         load_dataset(root)

@@ -1,9 +1,12 @@
 """Autodiff core: op gradients, MLP behavior, the optimizer."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvgc.nncore import (
     MLPSpec,
@@ -22,7 +25,7 @@ from mvgc.nncore import (
     no_grad,
     zero_grads,
 )
-from mvgc.nncore.tensor import tensor_sum
+from mvgc.nncore.tensor import _record, _wrap, tensor_sum
 
 
 def test_scalar_chain_matches_hand_derivative():
@@ -269,3 +272,151 @@ def test_no_grad_is_restored_when_the_block_raises():
         with no_grad():
             raise RuntimeError("inside the block")
     assert (w * 2.0)._grad_fn is not None
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _primitive_mlp(params, spec, x, rng=None):
+    """``mlp_apply`` as the chain of primitive ops its layer node fuses."""
+    h = _wrap(x)
+    for layer in range(spec.num_layers):
+        h = h @ params[2 * layer] + params[2 * layer + 1]
+        if spec.activations[layer] == "relu":
+            h = h.relu()
+        elif spec.activations[layer] == "sigmoid":
+            h = h.sigmoid()
+        if rng is not None and spec.dropout_rate > 0.0:
+            h = dropout(h, spec.dropout_rate, rng)
+    return h
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mlp_layer_node_matches_the_primitive_chain_bit_for_bit(data):
+    layers = data.draw(st.integers(1, 3), label="layers")
+    dims = data.draw(
+        st.lists(st.integers(1, 5), min_size=layers + 1, max_size=layers + 1)
+    )
+    acts = data.draw(st.lists(
+        st.sampled_from(["relu", "sigmoid", "none"]),
+        min_size=layers, max_size=layers,
+    ))
+    rate = data.draw(st.sampled_from([0.0, 0.3, 0.9]), label="rate")
+    use_rng = data.draw(st.booleans(), label="dropout rng")
+    # 60: pre-activations far past the sigmoid's float64 saturation
+    scale = data.draw(st.sampled_from([0.5, 60.0]), label="scale")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    n = data.draw(st.integers(1, 6), label="rows")
+
+    rng = np.random.default_rng(seed)
+    spec = MLPSpec(layer_dims=dims, activations=acts, dropout_rate=rate)
+    start = [rng.normal(scale=scale, size=p.value.shape)
+             for p in init_params(spec, seed)]
+    for bias in start[1::2]:
+        bias[rng.random(bias.shape) < 0.5] = 0.0
+    x0 = rng.normal(scale=scale, size=(n, dims[0]))
+    # zero rows with zero biases put pre-activations exactly at 0
+    x0[rng.random(n) < 0.3] = 0.0
+    weight = rng.normal(size=(n, dims[-1]))
+
+    def run(apply):
+        params = [Parameter(v.copy()) for v in start]
+        x = Parameter(x0.copy())
+        drop_rng = np.random.default_rng(seed + 1) if use_rng else None
+        out = apply(params, spec, x, drop_rng)
+        # the input has a second consumer, so the order of its two
+        # gradient contributions shows in the bits
+        backward((out * weight).sum() + (x * x).sum())
+        return [out.value, x.grad, *(p.grad for p in params)]
+
+    fused = run(lambda params, spec, x, r: mlp_apply(params, spec, x, rng=r))
+    primitive = run(_primitive_mlp)
+    assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
+
+
+def test_mlp_records_one_tape_node_per_layer():
+    spec = MLPSpec(layer_dims=(3, 4, 4, 2), activations=("relu", "sigmoid", "none"),
+                   dropout_rate=0.2)
+    params = init_params(spec, seed=4)
+    out = mlp_apply(params, spec, np.ones((5, 3)), rng=np.random.default_rng(0))
+    nodes = 0
+    node = out
+    while node._grad_fn is not None:
+        nodes += 1
+        node = node._parents[0]
+    assert nodes == spec.num_layers
+    assert node is not out and node._parents == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6),
+    st.sampled_from([1.0, 2.5]),
+)
+@example(0, 1, 1, 1.0)
+def test_binary_cross_entropy_backward_recomputes_the_clamp_bit_for_bit(
+    seed, rows, cols, upstream
+):
+    rng = np.random.default_rng(seed)
+    pred0 = rng.uniform(size=(rows, cols))
+    # exactly at the clamp bounds, and beyond them on both sides
+    edges = np.array([1e-7, 1.0 - 1e-7, 0.0, 1.0, 1e-9, 1.0 - 1e-9])
+    pick = rng.random(pred0.shape) < 0.5
+    pred0[pick] = rng.choice(edges, size=pick.sum())
+    target = np.where(rng.random(pred0.shape) < 0.5, 1.0, rng.uniform(size=pred0.shape))
+    pred = Parameter(pred0.copy())
+    loss = binary_cross_entropy(target, pred) * upstream
+    backward(loss)
+
+    # the node's gradient as it was when it kept the clamped copy
+    q = np.clip(pred0, 1e-7, 1.0 - 1e-7)
+    inside = (pred0 >= 1e-7) & (pred0 <= 1.0 - 1e-7)
+    g = np.ones(()) * np.asarray(upstream)
+    expected = g * inside * ((q - target) / (q * (1.0 - q)))
+    # a leaf's gradient accumulates into zeros, which turns -0 into +0
+    assert _same_bits(pred.grad, np.zeros_like(pred0) + expected)
+    assert loss.value == -(target * np.log(q) + (1.0 - target) * np.log1p(-q)).sum() * upstream
+
+
+def test_a_consumed_loss_raises_on_a_second_backward():
+    x = Parameter(np.array([1.0, 2.0]))
+    hidden = (x * 3.0).exp()
+    loss = hidden.sum()
+    backward(loss)
+    kept = x.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        backward(loss)
+    # an expression built on a consumed node cannot reach x either
+    with pytest.raises(RuntimeError, match="consumed"):
+        backward((hidden * 2.0).sum())
+    assert np.array_equal(x.grad, kept)
+    # a freshly built loss still works, and adds up as before
+    backward((x * 3.0).exp().sum())
+    assert np.array_equal(x.grad, 2.0 * kept)
+
+
+def test_backward_frees_an_intermediate_before_it_returns():
+    x = Parameter(np.ones((3, 3)))
+    freed_when_reached = []
+
+    def probe(g):
+        # runs after ``mid`` has passed its gradient on
+        freed_when_reached.append(mid_ref() is None)
+        return ((x, g),)
+
+    first = _record(Tensor(x.value * 1.0), (x,), probe)
+    mid = first * 2.0
+    mid_ref = weakref.ref(mid)
+    loss = (mid * 3.0).sum()
+    del first, mid
+    gc.collect()
+    gc.disable()
+    try:
+        backward(loss)
+    finally:
+        gc.enable()
+    assert freed_when_reached == [True]
+    assert np.array_equal(x.grad, np.full((3, 3), 6.0))

@@ -8,6 +8,7 @@ import pytest
 from mvgc import trainer
 from mvgc.dataio import RunConfig, generate_sbm
 from mvgc.graph import add_self_loops, row_normalize
+from mvgc.nncore import Tensor
 from mvgc.trainer import (
     TrainingError,
     build_loss,
@@ -87,6 +88,50 @@ def test_zero_loss_weights_reduce_total_to_reconstruction():
     artifacts = prepare_epoch(state, dataset, config)
     _, parts, _ = build_loss(state, dataset, config, artifacts)
     assert parts["total"].value == parts["reconstruction"].value
+
+
+def _tape_arrays(root):
+    """Every array reachable from a tape: the values of its nodes and
+    whatever their gradient closures hold, each counted once by the buffer
+    it views."""
+    seen, buffers = set(), {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            stack.append(obj.value)
+            stack.extend(obj._parents)
+            for cell in getattr(obj._grad_fn, "__closure__", None) or ():
+                stack.append(cell.cell_contents)
+        elif isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+    return list(buffers.values())
+
+
+def test_the_tape_holds_at_most_three_plus_v_square_float_arrays():
+    # n = 24 differs from every other width (hidden 8, embed 4, features 6
+    # and 12), so an n x n array is one of the dense consensus or decoder
+    # stages: the logits, the sample, its row normalization and one decoded
+    # adjacency per view
+    dataset = toy_dataset()
+    config = toy_config(dropout=0.3)
+    state = init_state(dataset, config)
+    total, _, _ = build_loss(
+        state, dataset, config, prepare_epoch(state, dataset, config)
+    )
+    square = [
+        a for a in _tape_arrays(total)
+        if a.shape == (dataset.n, dataset.n) and a.dtype == np.float64
+        and not any(np.shares_memory(a, g.adj) for g in dataset.graphs)
+    ]
+    assert len(square) <= 3 + dataset.num_views
 
 
 def test_rho_zero_freezes_unit_beliefs_and_plain_fusion():

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvgc.graph import Graph
-from mvgc.nncore import Parameter, Tensor, binary_cross_entropy, grad_check
+from mvgc.nncore import (
+    Parameter,
+    Tensor,
+    backward,
+    binary_cross_entropy,
+    grad_check,
+)
 from mvgc.vargen import (
     PosteriorNet,
     compute_prior_beta,
@@ -214,3 +220,98 @@ def test_view_cross_entropy_matches_entrywise_prior_slice():
     edges = g.adj.sum()
     manual = -(edges * np.log(beta_edge) + (g.n**2 - edges) * np.log(beta_non_edge))
     assert view_prior_cross_entropy(g, beliefs, view=1) == pytest.approx(manual)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _primitive_sample(alpha, tau, noise=None):
+    """``sample_consensus`` as the chain of primitive ops its node fuses."""
+    if noise is not None:
+        alpha = alpha + noise
+    return (alpha / tau).sigmoid().clip(1e-12, 1.0 - 1e-12)
+
+
+def _primitive_decode(z):
+    """``decode_adjacency`` as the chain of primitive ops its node fuses."""
+    return (z @ z.T).sigmoid()
+
+
+# logits whose sigmoid lands just inside and just outside each clip bound
+_NEAR_BOUNDS = np.array([
+    -27.631021115927545, -27.63102111592755, 27.631043237893362, 27.63104323789236,
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1.0, 0.7, 5.0]),
+    st.sampled_from([1.0, 60.0]), st.booleans(), st.booleans(),
+)
+@example(0, 4, 1.0, 1.0, False, False)
+def test_sample_node_matches_the_primitive_chain_bit_for_bit(
+    seed, n, tau, scale, with_noise, other_first
+):
+    rng = np.random.default_rng(seed)
+    alpha0 = rng.normal(scale=scale, size=(n, n))
+    pick = rng.random(alpha0.shape) < 0.4
+    alpha0[pick] = rng.choice(_NEAR_BOUNDS, size=pick.sum()) * tau
+    noise = logistic_noise(rng, (n, n)) if with_noise else None
+    weight = rng.normal(size=(n, n))
+
+    def run(sample):
+        alpha = Parameter(alpha0.copy())
+        out = sample(alpha, tau, noise)
+        terms = [(out * weight).sum(), (alpha * alpha).sum()]
+        backward(terms[1] + terms[0] if other_first else terms[0] + terms[1])
+        return out.value, alpha.grad
+
+    fused = run(lambda a, t, e: sample_consensus(a, t, noise=e))
+    primitive = run(_primitive_sample)
+    assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 5),
+    st.sampled_from([0.3, 10.0]), st.booleans(),
+)
+@example(0, 5, 3, 10.0, False)
+def test_decode_node_matches_the_primitive_chain_bit_for_bit(
+    seed, n, d, scale, other_first
+):
+    # scale 10 puts |z z^T| far beyond 40, where the sigmoid saturates
+    rng = np.random.default_rng(seed)
+    z0 = rng.normal(scale=scale, size=(n, d))
+    weight = rng.normal(size=(n, n))
+
+    def run(decode):
+        z = Parameter(z0.copy())
+        out = decode(z)
+        # z has a second consumer, so the order of its three gradient
+        # contributions shows in the bits
+        terms = [(out * weight).sum(), (z * z).sum()]
+        backward(terms[1] + terms[0] if other_first else terms[0] + terms[1])
+        return out.value, z.grad
+
+    fused = run(decode_adjacency)
+    primitive = run(_primitive_decode)
+    assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
+
+
+def test_sample_and_decode_nodes_keep_the_noise_and_intermediates_off_the_tape():
+    rng = np.random.default_rng(17)
+    alpha = Parameter(rng.normal(size=(4, 4)))
+    noise = logistic_noise(rng, (4, 4))
+    sample = sample_consensus(alpha, 2.0, noise=noise)
+    decoded = decode_adjacency(Parameter(rng.normal(size=(4, 3))))
+    for node in (sample, decoded):
+        assert len(node._parents) == 1 and node._parents[0]._grad_fn is None
+        held = [cell.cell_contents for cell in node._grad_fn.__closure__]
+        assert not any(obj is noise for obj in held)
+        # of the float n x n arrays, the node keeps only its own output
+        big = [obj for obj in held if isinstance(obj, np.ndarray)
+               and obj.shape == (4, 4) and obj.dtype == np.float64]
+        assert len(big) == 1 and big[0] is node.value
