@@ -1,0 +1,122 @@
+"""Check that two source trees of mvgc produce byte-identical outputs.
+
+    python3 scripts/byte_identity.py --parent SRC --change SRC [--work DIR]
+
+For each tree, with its own ``src/`` on ``PYTHONPATH``, the script runs
+fixed-seed ``mvgc synth`` and then ``mvgc cluster --export-embeddings
+--export-consensus`` on the three benchmark workload shapes, and every
+``mvgc verify`` suite at seeds 0 and 3.  Datasets, run directories, standard
+output and exit codes land in WORK/parent and WORK/change, and the two are
+compared file by file.  Exit status 0 means no difference; 1 names the first
+file that differs.  WORK defaults to a temporary directory, removed at the
+end; a given one is kept.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# (name, synth flags, cluster flags, graph files dropped): the benchmark's
+# planted_n200, planted_n1600 and knn_n600_v3 shapes, the last with a noisy
+# view so the beliefs move
+SHAPES = (
+    ("planted_n200", ["--n", "200", "--seed", "11"], ["--epochs", "30"], False),
+    ("planted_n1600",
+     ["--n", "1600", "--p-in", "0.05", "--p-out", "0.002", "--seed", "12"],
+     ["--epochs", "4"], False),
+    ("knn_n600_v3",
+     ["--n", "600", "--c", "6", "--views", "3", "--p-in", "0.1",
+      "--p-out", "0.005", "--feature-noise", "0.1", "--noisy-view", "2",
+      "--seed", "13"],
+     ["--epochs", "6"], True),
+)
+SUITES = ("theorem1", "theorem2", "temperature", "gradients", "metrics-oracle")
+VERIFY_SEEDS = (0, 3)
+
+
+def _mvgc(tree, cwd, args, log):
+    """Run ``python -m mvgc ARGS`` from ``tree`` in ``cwd``; its standard
+    output and exit code go to ``cwd/log``, and its standard error, which
+    only carries progress, to the terminal."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "mvgc", *args], cwd=cwd, env=env,
+        stdout=subprocess.PIPE, check=False,
+    )
+    (cwd / log).write_bytes(done.stdout + f"exit {done.returncode}\n".encode())
+
+
+def run_tree(tree, out):
+    """Write every output the check compares for source tree ``tree``."""
+    out.mkdir(parents=True)
+    for name, synth, cluster, drop_graphs in SHAPES:
+        print(f"{tree}: {name}", file=sys.stderr, flush=True)
+        _mvgc(tree, out, ["synth", "--out", f"{name}/data", *synth],
+              f"{name}.synth.txt")
+        if drop_graphs:
+            for path in (out / name / "data").glob("graph_v*.tsv"):
+                path.unlink()
+        _mvgc(tree, out,
+              ["cluster", f"{name}/data", "--out", f"{name}/run", "--seed", "1",
+               *cluster, "--export-embeddings", "--export-consensus"],
+              f"{name}.cluster.txt")
+    for suite in SUITES:
+        for seed in VERIFY_SEEDS:
+            print(f"{tree}: verify {suite} --seed {seed}", file=sys.stderr, flush=True)
+            _mvgc(tree, out, ["verify", suite, "--seed", str(seed)],
+                  f"verify.{suite}.{seed}.txt")
+
+
+def _files(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+
+def first_difference(a, b):
+    """None when directories ``a`` and ``b`` hold the same files with the
+    same bytes; otherwise a line naming the first file, in sorted path
+    order, that is missing from one side or differs."""
+    a, b = Path(a), Path(b)
+    files_a, files_b = _files(a), _files(b)
+    for rel in sorted(set(files_a) | set(files_b)):
+        if rel not in files_b:
+            return f"{rel}: only in {a}"
+        if rel not in files_a:
+            return f"{rel}: only in {b}"
+        if (a / rel).read_bytes() != (b / rel).read_bytes():
+            return f"{rel}: differs"
+    return None
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="source tree of the parent commit")
+    parser.add_argument("--change", required=True, type=Path,
+                        help="source tree of the change")
+    parser.add_argument("--work", type=Path, default=None,
+                        help="where to write both trees' outputs (kept)")
+    args = parser.parse_args(argv)
+    for tree in (args.parent, args.change):
+        if not (tree / "src" / "mvgc").is_dir():
+            parser.error(f"{tree} holds no src/mvgc")
+    work = args.work or Path(tempfile.mkdtemp(prefix="byte_identity_"))
+    try:
+        for label, tree in (("parent", args.parent), ("change", args.change)):
+            run_tree(tree, work / label)
+        difference = first_difference(work / "parent", work / "change")
+    finally:
+        if args.work is None:
+            shutil.rmtree(work)
+    if difference is not None:
+        print(f"byte identity: {difference}")
+        return 1
+    print("byte identity: no difference")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

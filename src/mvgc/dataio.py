@@ -414,14 +414,15 @@ def save_dataset(dataset, directory):
     (directory / "meta").write_text("\n".join(lines) + "\n")
     for v, (x, g) in enumerate(dataset.views, start=1):
         np.savetxt(directory / f"features_v{v}.csv", x, fmt="%.17g", delimiter=",")
+        rows, cols = np.nonzero(g.adj)
+        keep = rows != cols  # self-loops are implied
+        if not directed:
+            keep &= rows < cols
         with (directory / f"graph_v{v}.tsv").open("w") as handle:
-            rows, cols = np.nonzero(g.adj)
-            for i, j in zip(rows, cols):
-                if i == j:
-                    continue  # self-loops are implied
-                if not directed and i > j:
-                    continue
-                handle.write(f"{i}\t{j}\n")
+            handle.writelines(
+                "%d\t%d\n" % edge
+                for edge in zip(rows[keep].tolist(), cols[keep].tolist())
+            )
     if dataset.labels is not None:
         _write_labels(directory / "labels.txt", dataset.labels)
 
@@ -451,13 +452,9 @@ def save_run(out_dir, labels, metrics, beliefs_history, loss_history,
         )
         (out_dir / "metrics.txt").write_text(text)
     with (out_dir / "beliefs.tsv").open("w") as handle:
-        for epoch, beliefs in enumerate(beliefs_history):
-            row = "\t".join(f"{b:.17g}" for b in beliefs)
-            handle.write(f"{epoch}\t{row}\n")
+        _write_rows(handle, beliefs_history)
     with (out_dir / "losses.tsv").open("w") as handle:
-        for epoch, losses in enumerate(loss_history, start=1):
-            row = "\t".join(f"{x:.17g}" for x in losses)
-            handle.write(f"{epoch}\t{row}\n")
+        _write_rows(handle, loss_history, start=1)
     if embeddings is not None:
         zbar, z_views = embeddings
         _write_embedding(out_dir / "zbar.tsv", zbar)
@@ -465,17 +462,31 @@ def save_run(out_dir, labels, metrics, beliefs_history, loss_history,
             _write_embedding(out_dir / f"z_v{v}.tsv", z)
 
 
+def _write_rows(handle, rows, start=0):
+    """Write each row of the 2-d float ``rows`` as its index (counted from
+    ``start``), a tab, and its values in %.17g joined by tabs.  One
+    %-template formats a whole row."""
+    if len(rows) == 0:
+        return
+    rows = np.asarray(rows, dtype=np.float64)
+    template = "%d\t" + "\t".join(["%.17g"] * rows.shape[1]) + "\n"
+    handle.writelines(
+        template % (i, *row.tolist()) for i, row in enumerate(rows, start=start)
+    )
+
+
 def _write_embedding(path, z):
     with path.open("w") as handle:
-        for i, row in enumerate(np.asarray(z)):
-            values = "\t".join(f"{x:.17g}" for x in row)
-            handle.write(f"{i}\t{values}\n")
+        _write_rows(handle, z)
 
 
 def write_consensus_tsv(path, s_values, threshold=0.5):
     """Dump consensus edge weights at or above ``threshold`` as (i, j, weight)."""
     s_values = np.asarray(s_values)
     with Path(path).open("w") as handle:
-        rows, cols = np.nonzero(s_values >= threshold)
-        for i, j in zip(rows, cols):
-            handle.write(f"{i}\t{j}\t{s_values[i, j]:.17g}\n")
+        for i, row in enumerate(s_values):
+            cols = np.flatnonzero(row >= threshold)
+            handle.writelines(
+                "%d\t%d\t%.17g\n" % (i, j, w)
+                for j, w in zip(cols.tolist(), row[cols].tolist())
+            )

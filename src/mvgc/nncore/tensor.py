@@ -13,8 +13,13 @@ attached to: that would make a reference cycle (out -> grad_fn -> out), and
 the tape would then outlive the loss until the cycle collector runs.  Ops
 whose gradient needs their own result capture the result array.  Where a
 chain of ops runs on every epoch over large arrays, one fused node replaces
-it (``binary_cross_entropy`` here; the MLP layer, the concrete sample and
-the adjacency decoder elsewhere), so its intermediates never reach the tape.
+it, so its intermediates never reach the tape: ``binary_cross_entropy``
+here; the MLP layer (``mlp``), and the concrete sample, the decoder logits
+Z Z^T and the adjacency likelihood (``mvgc.vargen``) elsewhere.  A node
+whose gradient is zero by construction need not be recorded at all: the
+adjacency likelihood records none when the BCE clamp decides every entry,
+that is when every |logit| lies beyond logit(1 - clamp) + 1, and it then
+computes its value from per-entry constants.
 
 ``backward`` consumes the tape node by node: once a node has passed its
 gradient on, its closure and parent links are dropped, so each intermediate
@@ -379,8 +384,8 @@ def binary_cross_entropy(target, prediction, clamp=1e-7):
 
     Predictions are clamped into [clamp, 1-clamp] before the logs so that
     saturated values stay finite; the gradient is blocked where the clamp
-    engaged.  Fused into one tape node: the BCE sits on every epoch's hot
-    path several times over.
+    engaged.  Fused into one tape node: every epoch scores each feature
+    reconstruction with it.
     """
     target = np.asarray(target, dtype=np.float64)
     pred = _wrap(prediction)

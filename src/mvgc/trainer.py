@@ -262,7 +262,8 @@ def build_loss(state, dataset, config, artifacts, p_global=None):
     for (x, _), z, enc in zip(dataset.views, z_views, state.encoders):
         l_r = l_r + reconstruction_loss(x, z, enc)
 
-    decoded = [decode_adjacency(z) for z in z_views]
+    # decoded one view at a time, as elbo_loss scores them
+    decoded = (decode_adjacency(z) for z in z_views)
     l_e = elbo_loss(dataset.graphs, decoded, sample, artifacts.kl_bound)
 
     zbar = fuse(z_views, artifacts.beliefs)
@@ -345,9 +346,10 @@ def _keep_freed_heap():
     Setting the top pad also stops glibc from adjusting its mmap threshold,
     which stays wherever earlier frees left it (128 KiB in a fresh process),
     so an n x 512 or n x n array may be mapped, unmapped and faulted in
-    afresh on every use.  Pinning the threshold at 32 MiB, the
-    upper limit glibc documents and the ceiling of its own dynamic
-    threshold, keeps the n x n arrays up to n of about 2000 on the heap.  A C library without ``mallopt`` keeps its own policy.
+    afresh on every use.  Pinning the threshold at 32 MiB, the upper limit
+    glibc documents and the ceiling of its own dynamic threshold, keeps the
+    n x n arrays up to n of about 2000 on the heap.  A C library without
+    ``mallopt`` keeps its own policy.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

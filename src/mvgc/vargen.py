@@ -18,7 +18,6 @@ from .nncore import (
     Parameter,
     Tensor,
     bernoulli_entropy,
-    binary_cross_entropy,
     init_params,
     mlp_apply,
 )
@@ -26,6 +25,8 @@ from .nncore.tensor import _record, _tracked, _wrap
 
 # the relaxed sample is nudged this far off exact 0 and 1
 _SAMPLE_FLOOR = 1e-12
+# decoded adjacency probabilities are clamped this far off exact 0 and 1
+_ADJACENCY_CLAMP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -157,24 +158,82 @@ def consensus_entropy(s):
 
 
 def decode_adjacency(z):
-    """Reconstruct an adjacency as sigmoid(Z Z^T); symmetric by construction.
+    """Decoder logits Z Z^T, symmetric by construction; the reconstructed
+    adjacency is their sigmoid, which ``adjacency_nll`` applies.
 
-    One tape node that keeps the n x n output and a copy of Z^T.  Z gets its
-    two gradient contributions, G Z and (Z^T G)^T for the pre-sigmoid
-    gradient G, as two separate pairs: summed in that order they round
-    exactly as the matmul and transpose nodes of sigmoid(Z @ Z.T) do.
+    One tape node that keeps a copy of Z^T.  Z gets its two gradient
+    contributions, G Z and (Z^T G)^T for the logits' gradient G, as two
+    separate pairs: summed in that order they round exactly as the matmul
+    and transpose nodes of Z @ Z.T do.
     """
     z = _wrap(z)
     zt = z.value.T.copy()
-    out = special.expit(z.value @ zt)
+    logits = Tensor(z.value @ zt)
     if not _tracked(z):
-        return Tensor(out)
+        return logits
 
     def grad_fn(g):
-        g = g * out * (1.0 - out)
         return ((z, g @ zt.T), (z, (z.value.T @ g).T))
 
-    return _record(Tensor(out), (z,), grad_fn)
+    return _record(logits, (z,), grad_fn)
+
+
+def _bce_terms(adj, logits):
+    """Per-entry BCE of 0/1 targets ``adj`` under sigmoid(``logits``), the
+    probabilities clamped into [clamp, 1 - clamp]."""
+    q = np.clip(special.expit(logits), _ADJACENCY_CLAMP, 1.0 - _ADJACENCY_CLAMP)
+    return -(adj * np.log(q) + (1.0 - adj) * np.log1p(-q))
+
+
+# beyond this |logit| the sigmoid lies within clamp / e of 0 or 1, outside
+# [clamp, 1 - clamp] by a margin that dwarfs expit's rounding, so the clip
+# decides the entry
+_DECIDED_LOGIT = float(special.logit(1.0 - _ADJACENCY_CLAMP)) + 1.0
+# the term of a decided entry is the term at an infinite logit: row 0 for a
+# negative logit and row 1 for a positive one, column 0 for a non-edge and
+# column 1 for an edge
+_DECIDED_TERMS = _bce_terms(np.array([[0.0, 1.0]]), np.array([[-np.inf], [np.inf]]))
+
+
+def adjacency_nll(adj, logits):
+    """Summed BCE of a 0/1 adjacency under the decoder sigmoid(logits), the
+    probabilities clamped into [1e-7, 1 - 1e-7] as ``binary_cross_entropy``
+    clamps them; the gradient is blocked where the clamp engaged.
+
+    Decided entries: where |logit| exceeds ``_DECIDED_LOGIT`` (about 17.1),
+    the clamp alone sets the entry's term, and its gradient is zero.  When
+    every entry is decided (an infinite logit is; a NaN is not), the node
+    sums the terms from ``_DECIDED_TERMS``, laid out as the chain lays out
+    its own, and returns the sum untracked: no tape node, no backward, and
+    no sigmoid or log over the n x n logits.  Otherwise it runs the full
+    sigmoid -> clip -> BCE chain and records one node, which keeps only the
+    logits and recomputes the sigmoid in its backward.  Both paths give the
+    chain's value bit for bit, and the recorded one its gradient too.
+    """
+    adj = np.asarray(adj, dtype=np.float64)
+    logits = _wrap(logits)
+    lv = logits.value
+    positive = lv > _DECIDED_LOGIT
+    decided = lv < -_DECIDED_LOGIT
+    decided |= positive
+    if decided.all():
+        # each entry's flat index into the table: 2 * positive + edge
+        index = positive.view(np.uint8) << 1
+        index |= (adj > 0.0).view(np.uint8)
+        return Tensor(_DECIDED_TERMS.take(index).sum())
+    out = Tensor(_bce_terms(adj, lv).sum())
+    if not _tracked(logits):
+        return out
+    lo, hi = _ADJACENCY_CLAMP, 1.0 - _ADJACENCY_CLAMP
+
+    def grad_fn(g):
+        a_hat = special.expit(logits.value)
+        q = np.clip(a_hat, lo, hi)
+        inside = (a_hat >= lo) & (a_hat <= hi)
+        g = g * inside * ((q - adj) / (q * (1.0 - q)))
+        return ((logits, g * a_hat * (1.0 - a_hat)),)
+
+    return _record(out, (logits,), grad_fn)
 
 
 def elbo_loss(graphs, decoded, s, kl_bound):
@@ -182,14 +241,23 @@ def elbo_loss(graphs, decoded, s, kl_bound):
     graph, plus sample entropy, minus the KL bound.  Training maximizes this,
     so it enters the total objective with a negative weight.
 
+    ``decoded`` yields each graph's decoder logits (``decode_adjacency``),
+    in the graphs' order; given a generator, each view is decoded only once
+    the previous one is scored, so one n x n logits array exists at a time.
     ``s`` is the relaxed consensus sample.  ``kl_bound`` is the float
     ``kl_upper_bound(beta)``: it depends only on the graphs and beliefs, not
     on any parameter, so the caller computes it once per belief update."""
-    if len(decoded) != len(graphs):
-        raise ValueError(f"{len(graphs)} graphs but {len(decoded)} decodings")
+    decoded = iter(decoded)
     likelihood = 0.0
-    for g, a_hat in zip(graphs, decoded):
-        likelihood = likelihood - binary_cross_entropy(g.adj, a_hat)
+    for views, g in enumerate(graphs):
+        logits = next(decoded, None)
+        if logits is None:
+            raise ValueError(f"{len(graphs)} graphs but {views} decodings")
+        likelihood = likelihood - adjacency_nll(g.adj, logits)
+        # free this view's logits before the next view is decoded
+        del logits
+    if next(decoded, None) is not None:
+        raise ValueError(f"{len(graphs)} graphs but more decodings")
     return likelihood + consensus_entropy(s) - kl_bound
 
 

@@ -1,0 +1,36 @@
+"""The comparison step of ``scripts/byte_identity.py``."""
+
+import importlib.util
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "byte_identity.py"
+_spec = importlib.util.spec_from_file_location("byte_identity", _SCRIPT)
+byte_identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(byte_identity)
+
+
+def _tree(root):
+    (root / "run").mkdir(parents=True)
+    (root / "run" / "labels.txt").write_text("0\n1\n1\n")
+    (root / "run" / "losses.tsv").write_text("1\t0.5\t0.25\t-3\n")
+    (root / "verify.gradients.0.txt").write_text("4/4 checks passed\nexit 0\n")
+    return root
+
+
+def test_identical_trees_show_no_difference(tmp_path):
+    assert byte_identity.first_difference(
+        _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    ) is None
+
+
+def test_one_changed_byte_names_its_file(tmp_path):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    (b / "run" / "losses.tsv").write_text("1\t0.5\t0.24\t-3\n")
+    assert byte_identity.first_difference(a, b) == "run/losses.tsv: differs"
+
+
+def test_a_file_on_one_side_only_is_a_difference(tmp_path):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    (a / "run" / "zbar.tsv").write_text("0\t1\n")
+    assert byte_identity.first_difference(a, b) == f"run/zbar.tsv: only in {a}"
+    assert byte_identity.first_difference(b, a) == f"run/zbar.tsv: only in {a}"

@@ -457,3 +457,65 @@ def test_write_consensus_tsv_filters_by_threshold(tmp_path):
         f"1\t0\t{0.5:.17g}",
         f"1\t1\t{0.7:.17g}",
     ]
+
+
+# float64 values whose %.17g text is easy to get wrong: signed zeros,
+# subnormals, the extremes, integer-valued floats and infinities
+_AWKWARD_FLOATS = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+    1.7976931348623157e308, 3.0, -12.0, 2.0**53, 1e16, 0.1, -1.0 / 3.0,
+    np.inf, -np.inf,
+])
+
+
+def _fstring_rows(rows, start=0):
+    """The per-value f-string writer the row template replaced."""
+    return "".join(
+        f"{i}\t" + "\t".join(f"{x:.17g}" for x in row) + "\n"
+        for i, row in enumerate(rows, start=start)
+    )
+
+
+def test_row_templates_write_the_bytes_of_per_value_f_strings(tmp_path):
+    rng = np.random.default_rng(20)
+    z = rng.choice(_AWKWARD_FLOATS, size=(9, 7))
+    z[1] = _AWKWARD_FLOATS[:7]
+    z[2] = _AWKWARD_FLOATS[7:14]
+    # every binary exponent
+    z = np.concatenate([z, np.ldexp(rng.random((300, 7)) + 0.5,
+                                    rng.integers(-1074, 1024, (300, 7)))])
+    beliefs = [tuple(row[:3]) for row in z[:5]]
+    losses = [tuple(np.float64(x) for x in row[:3]) for row in z[5:9]]
+    out = tmp_path / "run"
+    save_run(out, labels=np.zeros(2, dtype=int), metrics=None,
+             beliefs_history=beliefs, loss_history=losses,
+             embeddings=(z, [z[:, :2], z[:, :0]]))
+    assert (out / "zbar.tsv").read_text() == _fstring_rows(z)
+    assert (out / "z_v1.tsv").read_text() == _fstring_rows(z[:, :2])
+    assert (out / "z_v2.tsv").read_text() == _fstring_rows(z[:, :0])
+    assert (out / "beliefs.tsv").read_text() == _fstring_rows(beliefs)
+    assert (out / "losses.tsv").read_text() == _fstring_rows(losses, start=1)
+
+    s = np.abs(rng.choice(_AWKWARD_FLOATS[np.isfinite(_AWKWARD_FLOATS)], size=(6, 6)))
+    write_consensus_tsv(tmp_path / "consensus.tsv", s, threshold=0.0)
+    assert (tmp_path / "consensus.tsv").read_text() == "".join(
+        f"{i}\t{j}\t{s[i, j]:.17g}\n" for i, j in zip(*np.nonzero(s >= 0.0))
+    )
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_saved_edge_lists_match_the_per_edge_writer(tmp_path, directed):
+    rng = np.random.default_rng(21)
+    adj = (rng.random((12, 12)) < 0.3).astype(np.float64)
+    if not directed:
+        adj = np.maximum(adj, adj.T)
+    g = add_self_loops(Graph(adj))
+    x = rng.random((12, 3))
+    dataset = MultiViewDataset(views=((x, g),), x_global=x, labels=None, c=2)
+    save_dataset(dataset, tmp_path / "d")
+    rows, cols = np.nonzero(g.adj)
+    expected = "".join(
+        f"{i}\t{j}\n" for i, j in zip(rows, cols)
+        if i != j and (directed or i < j)
+    )
+    assert (tmp_path / "d" / "graph_v1.tsv").read_text() == expected

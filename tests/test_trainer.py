@@ -115,23 +115,58 @@ def _tape_arrays(root):
     return list(buffers.values())
 
 
-def test_the_tape_holds_at_most_three_plus_v_square_float_arrays():
-    # n = 24 differs from every other width (hidden 8, embed 4, features 6
-    # and 12), so an n x n array is one of the dense consensus or decoder
-    # stages: the logits, the sample, its row normalization and one decoded
-    # adjacency per view
-    dataset = toy_dataset()
-    config = toy_config(dropout=0.3)
+def _square_tape_arrays(dataset, config, decoder_scale=1.0):
+    """The float n x n arrays on the tape after ``build_loss``, besides the
+    dataset's adjacencies, with each encoder's output layer scaled by
+    ``decoder_scale`` first (the decoder logits Z Z^T grow by its square).
+
+    n = 24 differs from every other width (hidden 8, embed 4, features 6
+    and 12), so an n x n array is one of the dense consensus or decoder
+    stages: the posterior logits, the sample, its row normalization and
+    one decoder logits array per view."""
     state = init_state(dataset, config)
+    for enc in state.encoders:
+        for p in enc.f_params[-2:]:
+            p.value *= decoder_scale
     total, _, _ = build_loss(
         state, dataset, config, prepare_epoch(state, dataset, config)
     )
-    square = [
+    return [
         a for a in _tape_arrays(total)
         if a.shape == (dataset.n, dataset.n) and a.dtype == np.float64
         and not any(np.shares_memory(a, g.adj) for g in dataset.graphs)
     ]
-    assert len(square) <= 3 + dataset.num_views
+
+
+def test_the_tape_holds_at_most_three_plus_v_square_float_arrays():
+    # the toy's decoder is not saturated: its smallest |logit| is about 1.2,
+    # so every view's likelihood node keeps its logits
+    dataset = toy_dataset()
+    square = _square_tape_arrays(dataset, toy_config(dropout=0.3))
+    assert len(square) == 3 + dataset.num_views
+
+
+def test_a_saturated_decoder_leaves_no_square_array_on_the_tape():
+    # scaled by 6, every |logit| exceeds 40: the clamp decides each entry,
+    # so the likelihood is a constant and the decoder's logits are freed
+    dataset = toy_dataset()
+    square = _square_tape_arrays(dataset, toy_config(dropout=0.3), decoder_scale=6.0)
+    assert len(square) == 3
+
+
+def test_a_nan_decoder_logit_fails_the_epoch(monkeypatch):
+    real_decode = trainer.decode_adjacency
+
+    def poisoned_decode(z):
+        logits = real_decode(z)
+        # every entry decided but one NaN, which must not count as decided
+        logits.value[...] = 50.0
+        logits.value[0, 1] = np.nan
+        return logits
+
+    monkeypatch.setattr(trainer, "decode_adjacency", poisoned_decode)
+    with pytest.raises(TrainingError, match="^epoch 0: loss term 'elbo' is nan$"):
+        fit(toy_dataset(), toy_config(epochs=2))
 
 
 def test_rho_zero_freezes_unit_beliefs_and_plain_fusion():

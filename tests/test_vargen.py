@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from mvgc.graph import Graph
 from mvgc.nncore import (
@@ -14,7 +15,9 @@ from mvgc.nncore import (
     grad_check,
 )
 from mvgc.vargen import (
+    _DECIDED_LOGIT,
     PosteriorNet,
+    adjacency_nll,
     compute_prior_beta,
     consensus_entropy,
     decode_adjacency,
@@ -144,9 +147,11 @@ def test_infer_posterior_is_consistent_with_its_embeddings():
 
 def test_decode_adjacency_is_symmetric_sigmoid_gram():
     z = Tensor(np.random.default_rng(7).normal(size=(5, 3)))
-    decoded = decode_adjacency(z).value
-    assert np.allclose(decoded, decoded.T)
-    assert np.allclose(decoded, 1.0 / (1.0 + np.exp(-z.value @ z.value.T)))
+    logits = decode_adjacency(z).value
+    assert np.array_equal(logits, logits.T)
+    assert np.allclose(
+        special.expit(logits), 1.0 / (1.0 + np.exp(-z.value @ z.value.T))
+    )
 
 
 def test_elbo_composes_reconstruction_entropy_and_bound():
@@ -160,7 +165,8 @@ def test_elbo_composes_reconstruction_entropy_and_bound():
 
     got = elbo_loss(graphs, decoded, sample, kl_upper_bound(prior)).value
     manual = (
-        -sum(binary_cross_entropy(g.adj, d).value for g, d in zip(graphs, decoded))
+        -sum(binary_cross_entropy(g.adj, d.sigmoid()).value
+             for g, d in zip(graphs, decoded))
         + consensus_entropy(sample).value
         - kl_upper_bound(prior)
     )
@@ -171,11 +177,12 @@ def test_elbo_rejects_mismatched_decodings():
     graphs = graph_pair(seed=11)
     prior = compute_prior_beta(graphs, beliefs=(1.0, 1.0))
     sample = sample_consensus(Tensor(np.zeros((6, 6))), 5.0)
-    with pytest.raises(ValueError):
-        elbo_loss(
-            graphs, [decode_adjacency(Tensor(np.zeros((6, 2))))], sample,
-            kl_upper_bound(prior),
-        )
+    for count in (1, 3):
+        with pytest.raises(ValueError, match="2 graphs but"):
+            elbo_loss(
+                graphs, [decode_adjacency(Tensor(np.zeros((6, 2))))] * count,
+                sample, kl_upper_bound(prior),
+            )
 
 
 def test_elbo_gradient_reaches_the_posterior_logits():
@@ -236,7 +243,12 @@ def _primitive_sample(alpha, tau, noise=None):
 
 def _primitive_decode(z):
     """``decode_adjacency`` as the chain of primitive ops its node fuses."""
-    return (z @ z.T).sigmoid()
+    return z @ z.T
+
+
+def _primitive_nll(adj, logits):
+    """``adjacency_nll`` as the sigmoid -> clip -> BCE chain it replaces."""
+    return binary_cross_entropy(adj, logits.sigmoid())
 
 
 # logits whose sigmoid lands just inside and just outside each clip bound
@@ -282,7 +294,7 @@ def test_sample_node_matches_the_primitive_chain_bit_for_bit(
 def test_decode_node_matches_the_primitive_chain_bit_for_bit(
     seed, n, d, scale, other_first
 ):
-    # scale 10 puts |z z^T| far beyond 40, where the sigmoid saturates
+    # scale 10 puts |z z^T| far beyond the decided bound of the likelihood
     rng = np.random.default_rng(seed)
     z0 = rng.normal(scale=scale, size=(n, d))
     weight = rng.normal(size=(n, n))
@@ -307,11 +319,98 @@ def test_sample_and_decode_nodes_keep_the_noise_and_intermediates_off_the_tape()
     noise = logistic_noise(rng, (4, 4))
     sample = sample_consensus(alpha, 2.0, noise=noise)
     decoded = decode_adjacency(Parameter(rng.normal(size=(4, 3))))
-    for node in (sample, decoded):
+    # of the float n x n arrays, the sample keeps only its own output, and
+    # the decoder none: its backward reads Z and Z^T
+    for node, kept in ((sample, [sample.value]), (decoded, [])):
         assert len(node._parents) == 1 and node._parents[0]._grad_fn is None
         held = [cell.cell_contents for cell in node._grad_fn.__closure__]
         assert not any(obj is noise for obj in held)
-        # of the float n x n arrays, the node keeps only its own output
         big = [obj for obj in held if isinstance(obj, np.ndarray)
                and obj.shape == (4, 4) and obj.dtype == np.float64]
-        assert len(big) == 1 and big[0] is node.value
+        assert len(big) == len(kept) and all(a is b for a, b in zip(big, kept))
+
+
+def _edges(rng, n):
+    return (rng.random((n, n)) < 0.4).astype(np.float64)
+
+
+def _decoder_input(rng, n, d, decided):
+    """Z whose logits Z Z^T lie all within the decided bound ("none"), all
+    beyond it ("all": a +-40 first column dominates every product), or
+    on both sides ("some")."""
+    if decided == "none":
+        return rng.uniform(-0.5, 0.5, size=(n, d)) * np.sqrt(17.0 / d)
+    if decided == "some":
+        return rng.normal(scale=3.0, size=(n, d))
+    z = rng.uniform(-1.0, 1.0, size=(n, d))
+    z[:, 0] = rng.choice([-40.0, 40.0], size=n)
+    return z
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 5),
+    st.sampled_from(["none", "some", "all"]), st.booleans(),
+)
+@example(0, 6, 3, "all", False)
+@example(0, 6, 3, "none", True)
+def test_likelihood_node_matches_the_primitive_chain_bit_for_bit(
+    seed, n, d, decided, other_first
+):
+    rng = np.random.default_rng(seed)
+    z0 = _decoder_input(rng, n, d, decided)
+    adj = _edges(rng, n)
+    above = np.abs(z0 @ z0.T) > _DECIDED_LOGIT
+    assert {"none": not above.any(), "all": above.all()}.get(decided, True)
+
+    def run(decode, nll):
+        z = Parameter(z0.copy())
+        value = nll(adj, decode(z))
+        # z has a second consumer, so the order of its gradient
+        # contributions shows in the bits
+        terms = [value * 0.5, (z * z).sum()]
+        backward(terms[1] + terms[0] if other_first else terms[0] + terms[1])
+        return value, z.grad
+
+    fused = run(decode_adjacency, adjacency_nll)
+    primitive = run(_primitive_decode, _primitive_nll)
+    assert _same_bits(fused[0].value, primitive[0].value)
+    assert np.array_equal(fused[1], primitive[1])
+    # only a node with an undecided entry reaches the tape
+    assert (fused[0]._grad_fn is None) == bool(above.all())
+
+
+# logits on and next to the decided bound, beyond it, at infinity, and well
+# inside it
+_BOUND_LOGITS = np.array([
+    _DECIDED_LOGIT, np.nextafter(_DECIDED_LOGIT, np.inf),
+    np.nextafter(_DECIDED_LOGIT, 0.0), 40.0, np.inf, 16.0, 0.0,
+])
+_BOUND_LOGITS = np.concatenate([_BOUND_LOGITS, -_BOUND_LOGITS])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
+@example(0, 4, True)
+def test_likelihood_node_on_the_decided_bound_and_at_infinity(seed, n, beyond):
+    rng = np.random.default_rng(seed)
+    pool = _BOUND_LOGITS[np.abs(_BOUND_LOGITS) > _DECIDED_LOGIT] if beyond else _BOUND_LOGITS
+    logits0 = rng.choice(pool, size=(n, n))
+    adj = _edges(rng, n)
+
+    def run(nll):
+        logits = Parameter(logits0.copy())
+        value = nll(adj, logits)
+        backward(value * -1.5)
+        return value.value, logits.grad
+
+    fused, primitive = run(adjacency_nll), run(_primitive_nll)
+    assert np.isfinite(fused[0])
+    assert _same_bits(fused[0], primitive[0])
+    assert np.array_equal(fused[1], primitive[1])
+
+
+def test_a_nan_logit_is_not_decided():
+    logits = np.full((3, 3), 50.0)
+    logits[1, 2] = np.nan
+    assert np.isnan(adjacency_nll(_edges(np.random.default_rng(18), 3), logits).value)
