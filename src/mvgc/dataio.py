@@ -10,12 +10,15 @@ On-disk layout of a dataset directory:
 
 Features are min-max scaled per column into [0, 1] at load time so they can
 serve as BCE targets; graphs get self-loops and, unless meta says
-``directed=true``, are symmetrized.
+``directed=true``, are symmetrized.  Graphs are held sparse
+(``mvgc.graph.Graph``); an edge list is read straight into one, with no
+n x n array on the way.
 """
 
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -252,7 +255,34 @@ def _first_non_finite_cell(path):
 
 
 def _load_edges(path, n, directed):
-    adj = np.zeros((n, n))
+    """The graph of an edge-list file, built from the parsed index pairs;
+    a repeated line is one edge.
+
+    numpy parses a well-formed file in one pass.  A file it rejects, or one
+    with an id out of range, is read again line by line (``_edge_lines``),
+    which raises the error naming the line, or parses what numpy's integer
+    reader does not (``int`` also takes ``1_000``)."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns, and is an empty graph
+            warnings.simplefilter("ignore", UserWarning)
+            pairs = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        pairs = None
+    if pairs is None or pairs.size and (
+        pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n
+    ):
+        pairs = _edge_lines(path, n)
+    rows, cols = pairs.reshape(-1, 2).T
+    if not directed:
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    return add_self_loops(Graph.from_edges(n, rows, cols))
+
+
+def _edge_lines(path, n):
+    """The (i, j) pairs of an edge-list file as an int64 array, read line by
+    line; raises ``DatasetError`` naming the first bad line."""
+    pairs = []
     with path.open() as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -273,10 +303,8 @@ def _load_edges(path, n, directed):
                 raise DatasetError(
                     f"{path.name} line {lineno}: node index out of range [0, {n})"
                 )
-            adj[i, j] = 1.0
-            if not directed:
-                adj[j, i] = 1.0
-    return add_self_loops(Graph(adj))
+            pairs.append((i, j))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 _LABEL_MIN, _LABEL_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
@@ -365,6 +393,8 @@ def generate_sbm(n, c, V, p_in, p_out, feature_dim=16, feature_noise=0.3,
     ``feature_noise`` everywhere, clipped back into [0, 1].  ``noisy_view``
     (0-based) replaces that view's graph with pure p_out noise.
     """
+    if min(n, c, V) < 1:
+        raise ValueError(f"n={n}, c={c} and V={V} must each be at least 1")
     if not 0.0 <= p_out < p_in <= 1.0:
         raise ValueError("need 0 <= p_out < p_in <= 1")
     if c > n:
@@ -389,9 +419,12 @@ def generate_sbm(n, c, V, p_in, p_out, feature_dim=16, feature_noise=0.3,
         else:
             prob = np.where(same, p_in, p_out)
         draw = rng.random((n, n))
-        upper = np.triu(draw < prob, k=1).astype(np.float64)
-        adj = upper + upper.T
-        g = add_self_loops(Graph(adj))
+        rows, cols = np.nonzero(np.triu(draw < prob, k=1))
+        # free this view's n x n draw before the next view's
+        del draw, prob
+        g = add_self_loops(
+            Graph.from_edges(n, np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+        )
 
         x = np.clip(signal + feature_noise * rng.random((n, feature_dim)), 0.0, 1.0)
         views.append((x, g))
@@ -404,7 +437,7 @@ def save_dataset(dataset, directory):
     """Write a dataset in the loadable directory layout."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    directed = any(not np.array_equal(g.adj, g.adj.T) for g in dataset.graphs)
+    directed = any((g.adj != g.adj.T).nnz for g in dataset.graphs)
     lines = [
         f"n={dataset.n}",
         f"V={dataset.num_views}",
@@ -414,7 +447,7 @@ def save_dataset(dataset, directory):
     (directory / "meta").write_text("\n".join(lines) + "\n")
     for v, (x, g) in enumerate(dataset.views, start=1):
         np.savetxt(directory / f"features_v{v}.csv", x, fmt="%.17g", delimiter=",")
-        rows, cols = np.nonzero(g.adj)
+        rows, cols = g.edges()
         keep = rows != cols  # self-loops are implied
         if not directed:
             keep &= rows < cols

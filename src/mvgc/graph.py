@@ -1,45 +1,87 @@
-"""Binary graphs and deterministic transformations on them."""
+"""Binary graphs and deterministic transformations on them.
+
+A graph is held sparse from load to loss: view graphs carry a few dozen
+edges per node, so a dense n x n float64 array per view would be the
+largest thing a fit keeps.  Code that needs dense arithmetic over all pairs
+densifies the adjacency for as long as that arithmetic runs and no longer.
+"""
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 
 @dataclass(frozen=True)
 class Graph:
-    """n x n binary adjacency.  Entries are stored as float64 {0, 1}."""
+    """n x n binary adjacency, held as a ``scipy.sparse`` CSR array of unit
+    entries in canonical form: sorted column indices, no duplicates and no
+    stored zeros.  Built from a dense or sparse 0/1 matrix, or from edge
+    index arrays with ``from_edges``."""
 
-    adj: np.ndarray
+    adj: sparse.csr_array
 
     def __post_init__(self):
-        adj = np.asarray(self.adj, dtype=np.float64)
+        if sparse.issparse(self.adj):
+            # a copy, so canonicalizing leaves the caller's matrix alone
+            adj = sparse.csr_array(self.adj, dtype=np.float64, copy=True)
+            adj.sum_duplicates()
+            adj.eliminate_zeros()
+            values = adj.data
+        else:
+            values = np.asarray(self.adj, dtype=np.float64)
+            adj = values
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got {adj.shape}")
-        if not np.isin(adj, (0.0, 1.0)).all():
+        if not np.isin(values, (0.0, 1.0)).all():
             raise ValueError("adjacency entries must be 0 or 1")
+        if not sparse.issparse(adj):
+            adj = sparse.csr_array(adj)
         object.__setattr__(self, "adj", adj)
+
+    @classmethod
+    def from_edges(cls, n, rows, cols):
+        """The graph on ``n`` nodes with an edge from each ``rows[e]`` to
+        ``cols[e]``; a pair listed more than once is one edge."""
+        # unique by sort and compare: numpy's hash-based np.unique is
+        # slower at a few thousand edges
+        keys = np.sort(np.ravel_multi_index((rows, cols), (n, n)))
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        rows, cols = np.divmod(keys[first], n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(sparse.csr_array((np.ones(cols.size), cols, indptr), shape=(n, n)))
 
     @property
     def n(self):
         return self.adj.shape[0]
 
+    def edges(self):
+        """(rows, cols): the edges' index arrays in row-major order, the
+        order ``np.nonzero`` gives for the dense adjacency."""
+        adj = self.adj
+        return np.repeat(np.arange(self.n), np.diff(adj.indptr)), adj.indices
+
 
 def add_self_loops(g):
     """Force a unit diagonal; off-diagonal entries are untouched."""
-    adj = g.adj.copy()
-    np.fill_diagonal(adj, 1.0)
-    return Graph(adj)
+    rows, cols = g.edges()
+    diag = np.arange(g.n)
+    return Graph.from_edges(
+        g.n, np.concatenate([rows, diag]), np.concatenate([cols, diag])
+    )
 
 
 def row_normalize(g):
     """Divide each row by its sum.  Accepts a Graph or a nonnegative array
-    and returns the row-stochastic array.
+    and returns the dense row-stochastic array.
 
     A row summing to zero cannot happen once self-loops are in place; for
     relaxed inputs it is left as zeros and flagged with a warning.
     """
-    values = g.adj if isinstance(g, Graph) else np.asarray(g, dtype=np.float64)
+    values = g.adj.toarray() if isinstance(g, Graph) else np.asarray(g, dtype=np.float64)
     if (values < 0).any():
         raise ValueError("row_normalize expects nonnegative entries")
     sums = values.sum(axis=1, keepdims=True)
@@ -57,7 +99,7 @@ def hamming_distance(g1, g2):
     """Number of entries on which the two adjacencies disagree."""
     if g1.n != g2.n:
         raise ValueError(f"size mismatch: {g1.n} vs {g2.n}")
-    return int(np.abs(g1.adj - g2.adj).sum())
+    return int((g1.adj != g2.adj).nnz)
 
 
 def knn_graph(x, k, metric="cosine"):
@@ -83,12 +125,12 @@ def knn_graph(x, k, metric="cosine"):
         raise ValueError(f"unknown metric {metric!r}")
 
     np.fill_diagonal(dist, np.inf)
-    adj = np.zeros((n, n))
     cols = np.broadcast_to(np.arange(n), (n, n))
     # stable order: distance first, then node index
-    ranked = np.lexsort((cols, dist), axis=1)
-    rows = np.repeat(np.arange(n), k)
-    adj[rows, ranked[:, :k].reshape(-1)] = 1.0
-    adj = np.maximum(adj, adj.T)
-    np.fill_diagonal(adj, 1.0)
-    return Graph(adj)
+    near = np.lexsort((cols, dist), axis=1)[:, :k].reshape(-1)
+    nodes = np.arange(n)
+    rows = np.repeat(nodes, k)
+    # each neighbour pair in both directions, plus the diagonal
+    return Graph.from_edges(
+        n, np.concatenate([rows, near, nodes]), np.concatenate([near, rows, nodes])
+    )

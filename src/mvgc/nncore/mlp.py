@@ -2,7 +2,7 @@
 
 Each layer is one tape node: the affine map, the activation and the dropout
 mask run in place on one array, and the node keeps only the layer's output
-and its dropout mask for the backward.
+and its boolean dropout mask for the backward.
 """
 
 from dataclasses import dataclass
@@ -75,22 +75,30 @@ def init_params(spec, seed):
     return params
 
 
-def _dropout_mask(shape, rate, rng):
-    """Inverted-dropout multiplier: 0 for a dropped entry, 1/(1-rate) else."""
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+def _keep_mask(shape, rate, rng):
+    """Boolean dropout mask: True where an entry survives."""
+    return rng.random(shape) >= rate
+
+
+def _inverted(keep, rate):
+    """Inverted-dropout multiplier of a keep mask: 0 for a dropped entry,
+    1/(1-rate) else."""
+    return keep / (1.0 - rate)
 
 
 def dropout(x, rate, rng):
     """Inverted dropout: zero a ``rate`` fraction and rescale the survivors."""
-    return x * _dropout_mask(x.value.shape, rate, rng)
+    return x * _inverted(_keep_mask(x.value.shape, rate, rng), rate)
 
 
 def _layer(h, w, b, activation, rate, rng):
     """One layer as one tape node: activation(h @ w + b), then inverted
     dropout when ``rng`` is given.
 
-    The node keeps the output and the dropout mask.  The relu derivative is
-    read from the output: out > 0 exactly where the pre-activation is,
+    The node keeps the output and the boolean keep mask, an eighth of the
+    float multiplier's bytes; forward and backward both scale by the
+    multiplier formed from it.  The relu derivative is read from the
+    output: out > 0 exactly where the pre-activation is,
     except where dropout zeroed the entry, and there the masked gradient is
     already a signed zero that either factor keeps.  The sigmoid derivative
     is read from the sigmoid values, which are the output unless dropout
@@ -102,9 +110,10 @@ def _layer(h, w, b, activation, rate, rng):
         np.maximum(y, 0.0, out=y)
     elif activation == "sigmoid":
         special.expit(y, out=y)
-    act, mask = y, None
+    act, keep = y, None
     if rng is not None:
-        mask = _dropout_mask(y.shape, rate, rng)
+        keep = _keep_mask(y.shape, rate, rng)
+        mask = _inverted(keep, rate)
         y = act * mask if activation == "sigmoid" else np.multiply(act, mask, out=act)
     out = Tensor(y)
     th, tw, tb = _tracked(h), _tracked(w), _tracked(b)
@@ -112,8 +121,8 @@ def _layer(h, w, b, activation, rate, rng):
         return out
 
     def grad_fn(g):
-        if mask is not None:
-            g = g * mask
+        if keep is not None:
+            g = g * _inverted(keep, rate)
         if activation == "relu":
             g = g * (y > 0)
         elif activation == "sigmoid":

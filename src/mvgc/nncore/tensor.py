@@ -13,13 +13,20 @@ attached to: that would make a reference cycle (out -> grad_fn -> out), and
 the tape would then outlive the loss until the cycle collector runs.  Ops
 whose gradient needs their own result capture the result array.  Where a
 chain of ops runs on every epoch over large arrays, one fused node replaces
-it, so its intermediates never reach the tape: ``binary_cross_entropy``
-here; the MLP layer (``mlp``), and the concrete sample, the decoder logits
-Z Z^T and the adjacency likelihood (``mvgc.vargen``) elsewhere.  A node
-whose gradient is zero by construction need not be recorded at all: the
-adjacency likelihood records none when the BCE clamp decides every entry,
-that is when every |logit| lies beyond logit(1 - clamp) + 1, and it then
-computes its value from per-entry constants.
+it, so its intermediates never reach the tape:
+
+- ``binary_cross_entropy`` here;
+- the MLP layer (``mlp``): affine map, activation and dropout, keeping a
+  boolean dropout mask;
+- in ``mvgc.vargen``: the concrete sample, which also forms the posterior
+  logits K Q^T in the buffer that becomes the sample, so neither the logits
+  nor the noise reach the tape; the decoder logits Z Z^T; and the adjacency
+  likelihood, which keeps the sparse graph rather than a dense adjacency.
+
+A node whose gradient is zero by construction need not be recorded at
+all: the adjacency likelihood records none when the BCE clamp decides every
+entry, that is when every |logit| lies beyond logit(1 - clamp) + 1, and it
+then computes its value from per-entry constants.
 
 ``backward`` consumes the tape node by node: once a node has passed its
 gradient on, its closure and parent links are dropped, so each intermediate

@@ -18,8 +18,10 @@ through; beliefs enter the loss as constants refreshed once per epoch.
 Everything that does not depend on the parameters is computed once, outside
 the loss: ``init_state`` message-passes each view's features along its own
 graph for the whole fit, and ``prepare_epoch`` computes the epoch's KL bound
-(from the incoming beliefs) and its concrete-noise draw.  ``build_loss``
-builds only the differentiable graph.
+(from the incoming beliefs).  ``build_loss`` builds only the differentiable
+graph; it draws the epoch's concrete noise from its own stream, and the
+sample node adds it into the sample, so no n x n array outlives the stage
+that reads it last.
 """
 
 import ctypes
@@ -120,8 +122,8 @@ class TrainState:
 @dataclass(frozen=True)
 class EpochArtifacts:
     """Constants for one epoch's loss: the KL bound of the prior under the
-    incoming beliefs, the updated beliefs for fusion, cluster structure from
-    the eval pass, and the frozen concrete-noise draw."""
+    incoming beliefs, the updated beliefs for fusion, and cluster structure
+    from the eval pass."""
 
     kl_bound: float
     beliefs: Beliefs
@@ -129,7 +131,6 @@ class EpochArtifacts:
     view_labels: tuple
     view_centroids: tuple
     global_centroids: np.ndarray
-    noise: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,21 +179,28 @@ def init_state(dataset, config):
     return state
 
 
-def _forward(state, dataset, config, noise=None, dropout_rng=None):
-    """Posterior, consensus sample and per-view embeddings, as Tensors.
+def _forward(state, dataset, config, noise_rng=None, dropout_rng=None):
+    """Posterior embeddings, consensus sample and per-view embeddings, as
+    Tensors.
 
-    ``noise`` perturbs the concrete sample (otherwise it sits at the
-    posterior median) and ``dropout_rng`` draws the posterior net's dropout
-    masks (otherwise there is none).  Returns (logits, sample, z_views).
+    ``noise_rng`` draws the logistic noise that perturbs the concrete sample
+    (otherwise it sits at the posterior median); the draw is passed straight
+    to the sample node, so it is freed once added in.  ``dropout_rng`` draws
+    the posterior net's dropout masks (otherwise there is none).  Returns
+    (posterior, sample, z_views).
     """
-    logits = infer_posterior(dataset.x_global, state.posterior, rng=dropout_rng)
-    sample = sample_consensus(logits.alpha, config.tau, noise=noise)
+    posterior = infer_posterior(dataset.x_global, state.posterior, rng=dropout_rng)
+    sample = sample_consensus(
+        posterior.k_embed, posterior.q_embed, config.tau,
+        noise=None if noise_rng is None
+        else logistic_noise(noise_rng, (dataset.n, dataset.n)),
+    )
     s_norm = normalize_consensus(sample)
     z_views = [
         encode_view(x, specific, s_norm, enc, config.order)
         for (x, _), specific, enc in zip(dataset.views, state.specific, state.encoders)
     ]
-    return logits, sample, z_views
+    return posterior, sample, z_views
 
 
 def _forward_eval(state, dataset, config):
@@ -237,9 +245,6 @@ def prepare_epoch(state, dataset, config):
         view_labels=tuple(r.labels for r in view_results),
         view_centroids=tuple(r.centroids for r in view_results),
         global_centroids=global_result.centroids,
-        noise=logistic_noise(
-            rng_stream(seed, epoch, "noise"), (dataset.n, dataset.n)
-        ),
     )
 
 
@@ -251,13 +256,14 @@ def build_loss(state, dataset, config, artifacts, p_global=None):
     (total, named terms, the target actually used) so callers can re-evaluate
     the loss with the target pinned.
     """
-    logits, sample, z_views = _forward(
-        state, dataset, config, noise=artifacts.noise,
+    posterior, sample, z_views = _forward(
+        state, dataset, config,
+        noise_rng=rng_stream(config.seed, state.epoch, "noise"),
         dropout_rng=rng_stream(config.seed, state.epoch, "dropout"),
     )
 
     l_r = reconstruction_loss_global(
-        dataset.x_global, logits.q_embed, state.global_decoder
+        dataset.x_global, posterior.q_embed, state.global_decoder
     )
     for (x, _), z, enc in zip(dataset.views, z_views, state.encoders):
         l_r = l_r + reconstruction_loss(x, z, enc)

@@ -30,10 +30,10 @@ _ADJACENCY_CLAMP = 1e-7
 
 
 @dataclass(frozen=True)
-class PosteriorLogits:
-    """Pairwise edge logits alpha = K Q^T with the embeddings that built them."""
+class PosteriorEmbeddings:
+    """The key and query embeddings K and Q whose product K Q^T is the
+    posterior's pairwise edge logits alpha; ``sample_consensus`` forms it."""
 
-    alpha: Tensor
     k_embed: Tensor
     q_embed: Tensor
 
@@ -74,6 +74,9 @@ def compute_prior_beta(graphs, beliefs, eps=1e-6):
     normalized vote can exceed 1 when beliefs are small and edges absent, so
     the result is clamped into [eps, 1] to stay a valid Bernoulli parameter.
     Returns the n x n array of clamped probabilities.
+
+    Each view's vote is densified for as long as it is added: an array of
+    1 - b^v with b^v set on the view's edges.
     """
     if not graphs:
         raise ValueError("need at least one graph")
@@ -88,57 +91,84 @@ def compute_prior_beta(graphs, beliefs, eps=1e-6):
     total = b.sum()
     if total == 0.0:
         raise ValueError("all beliefs are zero")
-    votes = np.zeros((n, n))
+    votes = None
     for g, bv in zip(graphs, b):
-        votes += np.where(g.adj > 0, bv, 1.0 - bv)
-    return np.clip(votes / total, eps, 1.0)
+        vote = np.full((n, n), 1.0 - bv)
+        vote.reshape(-1)[np.ravel_multi_index(g.edges(), (n, n))] = bv
+        if votes is None:
+            votes = vote
+        else:
+            votes += vote
+        del vote
+    votes /= total
+    return np.clip(votes, eps, 1.0, out=votes)
 
 
 def infer_posterior(x_global, net, rng=None):
-    """K = f'(global features), Q = K W, alpha = K Q^T.  Dropout masks in
-    f' come from ``rng``; without one the pass is deterministic."""
+    """K = f'(global features) and Q = K W; the logits alpha = K Q^T are
+    formed by ``sample_consensus``.  Dropout masks in f' come from ``rng``;
+    without one the pass is deterministic."""
     k = mlp_apply(net.params, net.spec, x_global, rng=rng)
-    q = k @ net.w
-    alpha = k @ q.T
-    return PosteriorLogits(alpha=alpha, k_embed=k, q_embed=q)
+    return PosteriorEmbeddings(k_embed=k, q_embed=k @ net.w)
 
 
 def logistic_noise(rng, shape):
     """Standard logistic draw log(U) - log(1-U), U ~ Uniform(0,1) clipped off
-    exact 0 and 1 so both logs stay finite."""
-    u = np.clip(rng.random(shape), 1e-12, 1.0 - 1e-12)
-    return np.log(u) - np.log1p(-u)
+    exact 0 and 1 so both logs stay finite.  Computed in place in two arrays
+    of ``shape``."""
+    u = rng.random(shape)
+    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
+    log_rest = np.negative(u)
+    np.log1p(log_rest, out=log_rest)
+    np.log(u, out=u)
+    u -= log_rest
+    return u
 
 
-def sample_consensus(alpha, tau, noise=None):
+def sample_consensus(k, q, tau, noise=None):
     """Relaxed edge weights sigmoid((alpha + noise) / tau) from the
-    binary-concrete posterior over the logits ``alpha``.
+    binary-concrete posterior over the logits alpha = K Q^T, for the
+    posterior's embeddings ``k`` and ``q``.  A caller holding bare logits
+    passes K = alpha and Q = I, which reproduces alpha bit for bit.
 
     ``noise`` is a logistic draw (``logistic_noise``); without it the sample
     sits at the distribution median (U = 0.5) and is deterministic.  Outputs
     are nudged off exact 0/1 so downstream logs stay finite.
 
-    One tape node, computed in place on one n x n array: it keeps the
-    clipped sample and the boolean mask of unclipped entries, and the noise
-    stays off the tape.  Where the mask holds, the clipped value equals the
-    sigmoid, so the gradient reads the sigmoid derivative from the sample.
+    One tape node, computed in place on one n x n array: alpha is formed in
+    the buffer that becomes the sample, so neither alpha nor the noise
+    reaches the tape.  The node keeps the clipped sample, the boolean mask
+    of unclipped entries and a copy of Q^T.  Where the mask holds, the
+    clipped value equals the sigmoid, so the gradient G of alpha reads the
+    sigmoid derivative from the sample.  K and Q get G Q and (K^T G)^T as
+    two pairs in that order, as the matmul and transpose nodes of
+    K @ Q.T return them, so they round exactly as those nodes do.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    alpha = _wrap(alpha)
-    s = alpha.value / tau if noise is None else alpha.value + noise
+    k, q = _wrap(k), _wrap(q)
+    qt = q.value.T.copy()
+    s = k.value @ qt
     if noise is not None:
-        s /= tau
+        s += noise
+    s /= tau
     special.expit(s, out=s)
-    if not _tracked(alpha):
+    tk, tq = _tracked(k), _tracked(q)
+    if not (tk or tq):
         return Tensor(np.clip(s, _SAMPLE_FLOOR, 1.0 - _SAMPLE_FLOOR, out=s))
     inside = (s >= _SAMPLE_FLOOR) & (s <= 1.0 - _SAMPLE_FLOOR)
     np.clip(s, _SAMPLE_FLOOR, 1.0 - _SAMPLE_FLOOR, out=s)
 
     def grad_fn(g):
-        return ((alpha, g * inside * s * (1.0 - s) / tau),)
+        g = g * inside * s * (1.0 - s) / tau
+        pairs = []
+        if tk:
+            pairs.append((k, g @ qt.T))
+        if tq:
+            pairs.append((q, (k.value.T @ g).T))
+        return pairs
 
-    return _record(Tensor(s), (alpha,), grad_fn)
+    return _record(Tensor(s), (k, q), grad_fn)
 
 
 def normalize_consensus(s):
@@ -195,38 +225,45 @@ _DECIDED_LOGIT = float(special.logit(1.0 - _ADJACENCY_CLAMP)) + 1.0
 _DECIDED_TERMS = _bce_terms(np.array([[0.0, 1.0]]), np.array([[-np.inf], [np.inf]]))
 
 
-def adjacency_nll(adj, logits):
-    """Summed BCE of a 0/1 adjacency under the decoder sigmoid(logits), the
-    probabilities clamped into [1e-7, 1 - 1e-7] as ``binary_cross_entropy``
-    clamps them; the gradient is blocked where the clamp engaged.
+def adjacency_nll(graph, logits):
+    """Summed BCE of a Graph's 0/1 adjacency under the decoder
+    sigmoid(logits), the probabilities clamped into [1e-7, 1 - 1e-7] as
+    ``binary_cross_entropy`` clamps them; the gradient is blocked where the
+    clamp engaged.
 
     Decided entries: where |logit| exceeds ``_DECIDED_LOGIT`` (about 17.1),
     the clamp alone sets the entry's term, and its gradient is zero.  When
     every entry is decided (an infinite logit is; a NaN is not), the node
-    sums the terms from ``_DECIDED_TERMS``, laid out as the chain lays out
-    its own, and returns the sum untracked: no tape node, no backward, and
-    no sigmoid or log over the n x n logits.  Otherwise it runs the full
-    sigmoid -> clip -> BCE chain and records one node, which keeps only the
-    logits and recomputes the sigmoid in its backward.  Both paths give the
-    chain's value bit for bit, and the recorded one its gradient too.
+    sums the terms from ``_DECIDED_TERMS``, indexed by the sign of each
+    logit and, from the graph's edges, whether the entry is an edge, and
+    laid out as the chain lays out its own.  It returns the sum untracked:
+    no tape node, no backward, and no sigmoid or log over the n x n logits.
+    Otherwise it densifies the adjacency, runs the full sigmoid -> clip ->
+    BCE chain and records one node, which keeps only the logits and the
+    sparse graph and recomputes the sigmoid and the dense adjacency in its
+    backward.  Both paths give the chain's value bit for bit, and the
+    recorded one its gradient too.
     """
-    adj = np.asarray(adj, dtype=np.float64)
     logits = _wrap(logits)
     lv = logits.value
     positive = lv > _DECIDED_LOGIT
     decided = lv < -_DECIDED_LOGIT
     decided |= positive
     if decided.all():
+        del decided
         # each entry's flat index into the table: 2 * positive + edge
-        index = positive.view(np.uint8) << 1
-        index |= (adj > 0.0).view(np.uint8)
+        index = positive.view(np.uint8)
+        index <<= 1
+        index.reshape(-1)[np.ravel_multi_index(graph.edges(), lv.shape)] |= 1
         return Tensor(_DECIDED_TERMS.take(index).sum())
-    out = Tensor(_bce_terms(adj, lv).sum())
+    del positive, decided
+    out = Tensor(_bce_terms(graph.adj.toarray(), lv).sum())
     if not _tracked(logits):
         return out
     lo, hi = _ADJACENCY_CLAMP, 1.0 - _ADJACENCY_CLAMP
 
     def grad_fn(g):
+        adj = graph.adj.toarray()
         a_hat = special.expit(logits.value)
         q = np.clip(a_hat, lo, hi)
         inside = (a_hat >= lo) & (a_hat <= hi)
@@ -253,7 +290,7 @@ def elbo_loss(graphs, decoded, s, kl_bound):
         logits = next(decoded, None)
         if logits is None:
             raise ValueError(f"{len(graphs)} graphs but {views} decodings")
-        likelihood = likelihood - adjacency_nll(g.adj, logits)
+        likelihood = likelihood - adjacency_nll(g, logits)
         # free this view's logits before the next view is decoded
         del logits
     if next(decoded, None) is not None:

@@ -72,7 +72,7 @@ def theorem1(seed=0):
             prior = compute_prior_beta([g1, g2], [b, b])
             lhs = kl_upper_bound(prior)
             d_ham = hamming_distance(g1, g2)
-            both_absent = int(((g1.adj == 0) & (g2.adj == 0)).sum())
+            both_absent = g1.n ** 2 - (g1.adj + g2.adj).nnz
             rhs = d_ham * math.log(2.0 * b) + both_absent * math.log(b / (1.0 - b))
             worst = max(worst, abs(lhs - rhs))
         checks.append(
@@ -119,12 +119,14 @@ def temperature(seed=0):
     """
     rng = np.random.default_rng(seed)
     alpha = Tensor(rng.normal(size=(50, 50)))
+    # bare logits enter the sample as K = alpha and Q = I
+    identity = np.eye(50)
     taus = (0.1, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0)
     checks = []
     variances = []
     for tau in taus:
         draws = [
-            sample_consensus(alpha, tau, logistic_noise(rng, alpha.shape)).value
+            sample_consensus(alpha, identity, tau, logistic_noise(rng, alpha.shape)).value
             for _ in range(40)
         ]
         pool = np.concatenate([d.reshape(-1) for d in draws])

@@ -233,11 +233,27 @@ def test_metrics_subcommand_validates_label_files(tmp_path, capsys):
 
 def test_synth_noisy_view_flag_is_one_based(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "x"), "--n", "12", "--c", "2",
-                 "--noisy-view", "0"]) == 1
+                 "--noisy-view", "0"]) == 2
     assert "1-based" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
     assert main(["synth", "--out", str(tmp_path / "y"), "--n", "12", "--c", "2",
                  "--noisy-view", "2"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n", "0"), ("--c", "0"), ("--views", "0"), ("--p-in", "1.5"),
+    ("--p-out", "0.9"), ("--feature-dim", "1"), ("--feature-noise", "-0.1"),
+    ("--noisy-view", "3"), ("--seed", "-1"),
+])
+def test_out_of_range_synth_flag_exits_two_naming_it_and_writes_nothing(
+    tmp_path, capsys, flag, value
+):
+    out = tmp_path / "x"
+    assert main(["synth", "--out", str(out), "--n", "12", "--c", "2",
+                 flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} {value} ")
+    assert not out.exists()
 
 
 def test_parser_exposes_every_config_knob():

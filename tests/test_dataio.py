@@ -124,12 +124,12 @@ def test_generate_sbm_is_deterministic():
     a, b = generate_sbm(**kwargs), generate_sbm(**kwargs)
     for (xa, ga), (xb, gb) in zip(a.views, b.views):
         assert np.array_equal(xa, xb)
-        assert np.array_equal(ga.adj, gb.adj)
+        assert np.array_equal(ga.adj.toarray(), gb.adj.toarray())
 
 
 def test_generate_sbm_edge_rates_follow_block_probabilities():
     dataset = generate_sbm(n=300, c=3, V=1, p_in=0.3, p_out=0.05, seed=1)
-    adj = dataset.graphs[0].adj
+    adj = dataset.graphs[0].adj.toarray()
     labels = dataset.labels
     same = labels[:, None] == labels[None, :]
     upper = np.triu(np.ones_like(adj, dtype=bool), k=1)
@@ -146,8 +146,8 @@ def test_generate_sbm_noisy_view_loses_block_structure():
     labels = dataset.labels
     same = labels[:, None] == labels[None, :]
     upper = np.triu(np.ones((200, 200), dtype=bool), k=1)
-    noisy_within = dataset.graphs[1].adj[same & upper].mean()
-    clean_within = dataset.graphs[0].adj[same & upper].mean()
+    noisy_within = dataset.graphs[1].adj.toarray()[same & upper].mean()
+    clean_within = dataset.graphs[0].adj.toarray()[same & upper].mean()
     assert noisy_within == pytest.approx(0.01, abs=0.01)
     assert clean_within == pytest.approx(0.25, abs=0.03)
 
@@ -156,7 +156,7 @@ def test_generate_sbm_features_stay_in_unit_interval_with_self_loops():
     dataset = generate_sbm(n=12, c=2, V=2, p_in=0.9, p_out=0.1, seed=3)
     for x, g in dataset.views:
         assert x.min() >= 0.0 and x.max() <= 1.0
-        assert np.array_equal(np.diag(g.adj), np.ones(12))
+        assert np.array_equal(g.adj.diagonal(), np.ones(12))
 
 
 def test_generate_sbm_validates_arguments():
@@ -177,7 +177,7 @@ def test_dataset_save_load_round_trip(tmp_path):
     assert loaded.n == 15 and loaded.c == 3 and loaded.num_views == 2
     assert np.array_equal(loaded.labels, dataset.labels)
     for (x_new, g_new), (x_old, g_old) in zip(loaded.views, dataset.views):
-        assert np.array_equal(g_new.adj, g_old.adj)
+        assert np.array_equal(g_new.adj.toarray(), g_old.adj.toarray())
         # loading rescales features column-wise
         assert np.allclose(x_new, min_max_scale(x_old))
 
@@ -195,7 +195,7 @@ def test_directed_graphs_survive_the_round_trip(tmp_path):
     meta = (tmp_path / "directed" / "meta").read_text()
     assert "directed=true" in meta
     loaded = load_dataset(tmp_path / "directed")
-    assert np.array_equal(loaded.graphs[0].adj, g.adj)
+    assert np.array_equal(loaded.graphs[0].adj.toarray(), g.adj.toarray())
 
 
 def test_load_builds_knn_graph_when_edge_file_is_missing(tmp_path):
@@ -207,7 +207,7 @@ def test_load_builds_knn_graph_when_edge_file_is_missing(tmp_path):
     np.savetxt(root / "features_v1.csv", x, fmt="%.17g", delimiter=",")
     loaded = load_dataset(root, knn_k=3)
     expected = knn_graph(min_max_scale(x), 3, metric="cosine")
-    assert np.array_equal(loaded.graphs[0].adj, expected.adj)
+    assert np.array_equal(loaded.graphs[0].adj.toarray(), expected.adj.toarray())
 
 
 def test_load_reports_malformed_files_by_name_and_line(tmp_path):
@@ -513,7 +513,7 @@ def test_saved_edge_lists_match_the_per_edge_writer(tmp_path, directed):
     x = rng.random((12, 3))
     dataset = MultiViewDataset(views=((x, g),), x_global=x, labels=None, c=2)
     save_dataset(dataset, tmp_path / "d")
-    rows, cols = np.nonzero(g.adj)
+    rows, cols = np.nonzero(g.adj.toarray())
     expected = "".join(
         f"{i}\t{j}\n" for i, j in zip(rows, cols)
         if i != j and (directed or i < j)

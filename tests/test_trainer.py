@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mvgc import trainer
 from mvgc.dataio import RunConfig, generate_sbm
@@ -116,14 +117,14 @@ def _tape_arrays(root):
 
 
 def _square_tape_arrays(dataset, config, decoder_scale=1.0):
-    """The float n x n arrays on the tape after ``build_loss``, besides the
-    dataset's adjacencies, with each encoder's output layer scaled by
-    ``decoder_scale`` first (the decoder logits Z Z^T grow by its square).
+    """The float n x n arrays on the tape after ``build_loss``, with each
+    encoder's output layer scaled by ``decoder_scale`` first (the decoder
+    logits Z Z^T grow by its square).
 
     n = 24 differs from every other width (hidden 8, embed 4, features 6
     and 12), so an n x n array is one of the dense consensus or decoder
-    stages: the posterior logits, the sample, its row normalization and
-    one decoder logits array per view."""
+    stages: the sample, its row normalization and one decoder logits array
+    per view."""
     state = init_state(dataset, config)
     for enc in state.encoders:
         for p in enc.f_params[-2:]:
@@ -134,24 +135,42 @@ def _square_tape_arrays(dataset, config, decoder_scale=1.0):
     return [
         a for a in _tape_arrays(total)
         if a.shape == (dataset.n, dataset.n) and a.dtype == np.float64
-        and not any(np.shares_memory(a, g.adj) for g in dataset.graphs)
     ]
 
 
-def test_the_tape_holds_at_most_three_plus_v_square_float_arrays():
+def test_the_tape_holds_two_plus_v_square_float_arrays():
     # the toy's decoder is not saturated: its smallest |logit| is about 1.2,
-    # so every view's likelihood node keeps its logits
+    # so every view's likelihood node keeps its logits, and the sparse graph
+    # rather than a dense adjacency
     dataset = toy_dataset()
     square = _square_tape_arrays(dataset, toy_config(dropout=0.3))
-    assert len(square) == 3 + dataset.num_views
+    assert len(square) == 2 + dataset.num_views
 
 
 def test_a_saturated_decoder_leaves_no_square_array_on_the_tape():
     # scaled by 6, every |logit| exceeds 40: the clamp decides each entry,
-    # so the likelihood is a constant and the decoder's logits are freed
+    # so the likelihood is a constant and the decoder's logits are freed;
+    # the posterior logits K Q^T are the sample's own buffer
     dataset = toy_dataset()
     square = _square_tape_arrays(dataset, toy_config(dropout=0.3), decoder_scale=6.0)
-    assert len(square) == 3
+    assert len(square) == 2
+
+
+def test_neither_the_epoch_artifacts_nor_a_graph_hold_a_square_array():
+    dataset = toy_dataset()
+    config = toy_config()
+    artifacts = prepare_epoch(init_state(dataset, config), dataset, config)
+    held = list(vars(artifacts).values())
+    held += [a for values in held if isinstance(values, tuple) for a in values]
+    for g in dataset.graphs:
+        assert sparse.issparse(g.adj)
+        held += list(vars(g).values())
+        held += [g.adj.data, g.adj.indices, g.adj.indptr]
+    assert not any(
+        isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[0] == dataset.n
+        and a.shape[1] == dataset.n
+        for a in held
+    )
 
 
 def test_a_nan_decoder_logit_fails_the_epoch(monkeypatch):

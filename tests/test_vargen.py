@@ -40,6 +40,11 @@ def graph_pair(n=6, seed=0, density=0.4):
     return out
 
 
+def bare_sample(alpha, tau, noise=None):
+    """``sample_consensus`` of bare logits: K = alpha and Q = I."""
+    return sample_consensus(alpha, np.eye(alpha.shape[0]), tau, noise=noise)
+
+
 def test_prior_of_unanimous_edge_is_one():
     g = Graph(np.ones((3, 3)))
     prior = compute_prior_beta([g, g], beliefs=(1.0, 1.0))
@@ -87,15 +92,15 @@ def test_kl_upper_bound_is_sum_of_log_inverse_beta():
 
 def test_eval_sample_is_the_noise_free_sigmoid():
     alpha = np.random.default_rng(0).normal(size=(5, 5))
-    sample = sample_consensus(Tensor(alpha), tau=5.0)
+    sample = bare_sample(Tensor(alpha), tau=5.0)
     assert np.allclose(sample.value, 1.0 / (1.0 + np.exp(-alpha / 5.0)))
 
 
 def test_train_sample_replays_a_fixed_noise_matrix():
     alpha = np.random.default_rng(1).normal(size=(4, 4))
     noise = np.random.default_rng(2).logistic(size=(4, 4))
-    first = sample_consensus(Tensor(alpha), tau=2.0, noise=noise)
-    second = sample_consensus(Tensor(alpha), tau=2.0, noise=noise)
+    first = bare_sample(Tensor(alpha), tau=2.0, noise=noise)
+    second = bare_sample(Tensor(alpha), tau=2.0, noise=noise)
     assert np.array_equal(first.value, second.value)
     assert np.allclose(
         first.value, 1.0 / (1.0 + np.exp(-(alpha + noise) / 2.0))
@@ -104,7 +109,7 @@ def test_train_sample_replays_a_fixed_noise_matrix():
 
 def test_sample_consensus_validates_arguments():
     with pytest.raises(ValueError):
-        sample_consensus(Tensor(np.zeros((2, 2))), tau=0.0)
+        bare_sample(Tensor(np.zeros((2, 2))), tau=0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -112,9 +117,16 @@ def test_sample_consensus_validates_arguments():
 def test_relaxed_sample_stays_strictly_inside_unit_interval(seed, tau):
     rng = np.random.default_rng(seed)
     alpha = Tensor(rng.normal(scale=10.0, size=(6, 6)))
-    s = sample_consensus(alpha, tau, logistic_noise(rng, (6, 6))).value
+    s = bare_sample(alpha, tau, logistic_noise(rng, (6, 6))).value
     assert np.all(np.isfinite(s))
     assert (s > 0.0).all() and (s < 1.0).all()
+
+
+def test_logistic_noise_matches_the_two_log_formula_bit_for_bit():
+    u = np.clip(np.random.default_rng(3).random((7, 5)), 1e-12, 1.0 - 1e-12)
+    expected = np.log(u) - np.log1p(-u)
+    got = logistic_noise(np.random.default_rng(3), (7, 5))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_larger_temperature_shrinks_sample_spread():
@@ -122,7 +134,7 @@ def test_larger_temperature_shrinks_sample_spread():
     spreads = []
     for tau in (0.5, 5.0, 50.0):
         draws = [
-            sample_consensus(
+            bare_sample(
                 alpha, tau, logistic_noise(np.random.default_rng(i), (30, 30))
             ).value
             for i in range(40)
@@ -133,7 +145,7 @@ def test_larger_temperature_shrinks_sample_spread():
 
 def test_normalize_consensus_rows_sum_to_one():
     alpha = Tensor(np.random.default_rng(5).normal(size=(4, 4)))
-    s_norm = normalize_consensus(sample_consensus(alpha, 5.0))
+    s_norm = normalize_consensus(bare_sample(alpha, 5.0))
     assert np.allclose(s_norm.value.sum(axis=1), 1.0)
 
 
@@ -142,7 +154,12 @@ def test_infer_posterior_is_consistent_with_its_embeddings():
     x = np.random.default_rng(6).uniform(size=(5, 7))
     post = infer_posterior(x, net)
     assert np.allclose(post.q_embed.value, post.k_embed.value @ net.w.value)
-    assert np.allclose(post.alpha.value, post.k_embed.value @ post.q_embed.value.T)
+    # the sample node forms the logits K Q^T itself
+    alpha = post.k_embed.value @ post.q_embed.value.T
+    assert np.allclose(
+        sample_consensus(post.k_embed, post.q_embed, 5.0).value,
+        bare_sample(alpha, 5.0).value,
+    )
 
 
 def test_decode_adjacency_is_symmetric_sigmoid_gram():
@@ -158,14 +175,14 @@ def test_elbo_composes_reconstruction_entropy_and_bound():
     graphs = graph_pair(seed=8)
     prior = compute_prior_beta(graphs, beliefs=(1.0, 1.0))
     z = Tensor(np.random.default_rng(9).normal(size=(6, 3)))
-    sample = sample_consensus(
+    sample = bare_sample(
         Tensor(np.random.default_rng(10).normal(size=(6, 6))), 5.0
     )
     decoded = [decode_adjacency(z) for _ in graphs]
 
     got = elbo_loss(graphs, decoded, sample, kl_upper_bound(prior)).value
     manual = (
-        -sum(binary_cross_entropy(g.adj, d.sigmoid()).value
+        -sum(binary_cross_entropy(g.adj.toarray(), d.sigmoid()).value
              for g, d in zip(graphs, decoded))
         + consensus_entropy(sample).value
         - kl_upper_bound(prior)
@@ -176,7 +193,7 @@ def test_elbo_composes_reconstruction_entropy_and_bound():
 def test_elbo_rejects_mismatched_decodings():
     graphs = graph_pair(seed=11)
     prior = compute_prior_beta(graphs, beliefs=(1.0, 1.0))
-    sample = sample_consensus(Tensor(np.zeros((6, 6))), 5.0)
+    sample = bare_sample(Tensor(np.zeros((6, 6))), 5.0)
     for count in (1, 3):
         with pytest.raises(ValueError, match="2 graphs but"):
             elbo_loss(
@@ -192,7 +209,7 @@ def test_elbo_gradient_reaches_the_posterior_logits():
     z = Parameter(np.random.default_rng(14).normal(scale=0.3, size=(6, 3)))
 
     def loss_fn():
-        sample = sample_consensus(alpha, 5.0)
+        sample = bare_sample(alpha, 5.0)
         return elbo_loss(
             graphs, [decode_adjacency(z)] * 2, sample, kl_upper_bound(prior)
         )
@@ -234,8 +251,9 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _primitive_sample(alpha, tau, noise=None):
+def _primitive_sample(k, q, tau, noise=None):
     """``sample_consensus`` as the chain of primitive ops its node fuses."""
+    alpha = k @ q.T
     if noise is not None:
         alpha = alpha + noise
     return (alpha / tau).sigmoid().clip(1e-12, 1.0 - 1e-12)
@@ -246,9 +264,9 @@ def _primitive_decode(z):
     return z @ z.T
 
 
-def _primitive_nll(adj, logits):
+def _primitive_nll(graph, logits):
     """``adjacency_nll`` as the sigmoid -> clip -> BCE chain it replaces."""
-    return binary_cross_entropy(adj, logits.sigmoid())
+    return binary_cross_entropy(graph.adj.toarray(), logits.sigmoid())
 
 
 # logits whose sigmoid lands just inside and just outside each clip bound
@@ -260,27 +278,36 @@ _NEAR_BOUNDS = np.array([
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([1.0, 0.7, 5.0]),
-    st.sampled_from([1.0, 60.0]), st.booleans(), st.booleans(),
+    st.sampled_from([1.0, 60.0]), st.booleans(), st.booleans(), st.booleans(),
 )
-@example(0, 4, 1.0, 1.0, False, False)
+@example(0, 4, 1.0, 1.0, False, False, True)
+@example(0, 4, 1.0, 1.0, True, True, False)
 def test_sample_node_matches_the_primitive_chain_bit_for_bit(
-    seed, n, tau, scale, with_noise, other_first
+    seed, n, tau, scale, with_noise, other_first, planted
 ):
+    # planted: K holds logits with entries next to the clip bounds and Q = I;
+    # otherwise K and Q are n x 3 embeddings
     rng = np.random.default_rng(seed)
-    alpha0 = rng.normal(scale=scale, size=(n, n))
-    pick = rng.random(alpha0.shape) < 0.4
-    alpha0[pick] = rng.choice(_NEAR_BOUNDS, size=pick.sum()) * tau
+    if planted:
+        k0 = rng.normal(scale=scale, size=(n, n))
+        pick = rng.random(k0.shape) < 0.4
+        k0[pick] = rng.choice(_NEAR_BOUNDS, size=pick.sum()) * tau
+        q0 = np.eye(n)
+    else:
+        k0, q0 = rng.normal(scale=scale, size=(2, n, 3))
     noise = logistic_noise(rng, (n, n)) if with_noise else None
     weight = rng.normal(size=(n, n))
 
     def run(sample):
-        alpha = Parameter(alpha0.copy())
-        out = sample(alpha, tau, noise)
-        terms = [(out * weight).sum(), (alpha * alpha).sum()]
+        k, q = Parameter(k0.copy()), Parameter(q0.copy())
+        out = sample(k, q, tau, noise)
+        # K and Q have a second consumer, so the order of their gradient
+        # contributions shows in the bits
+        terms = [(out * weight).sum(), (k * q).sum()]
         backward(terms[1] + terms[0] if other_first else terms[0] + terms[1])
-        return out.value, alpha.grad
+        return out.value, k.grad, q.grad
 
-    fused = run(lambda a, t, e: sample_consensus(a, t, noise=e))
+    fused = run(lambda k, q, t, e: sample_consensus(k, q, t, noise=e))
     primitive = run(_primitive_sample)
     assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
 
@@ -315,14 +342,15 @@ def test_decode_node_matches_the_primitive_chain_bit_for_bit(
 
 def test_sample_and_decode_nodes_keep_the_noise_and_intermediates_off_the_tape():
     rng = np.random.default_rng(17)
-    alpha = Parameter(rng.normal(size=(4, 4)))
+    k, q = Parameter(rng.normal(size=(4, 3))), Parameter(rng.normal(size=(4, 3)))
     noise = logistic_noise(rng, (4, 4))
-    sample = sample_consensus(alpha, 2.0, noise=noise)
+    sample = sample_consensus(k, q, 2.0, noise=noise)
     decoded = decode_adjacency(Parameter(rng.normal(size=(4, 3))))
-    # of the float n x n arrays, the sample keeps only its own output, and
-    # the decoder none: its backward reads Z and Z^T
+    # of the float n x n arrays, the sample keeps only its own output, the
+    # buffer the logits K Q^T were formed in, and the decoder none: its
+    # backward reads Z and Z^T
     for node, kept in ((sample, [sample.value]), (decoded, [])):
-        assert len(node._parents) == 1 and node._parents[0]._grad_fn is None
+        assert all(parent._grad_fn is None for parent in node._parents)
         held = [cell.cell_contents for cell in node._grad_fn.__closure__]
         assert not any(obj is noise for obj in held)
         big = [obj for obj in held if isinstance(obj, np.ndarray)
@@ -331,7 +359,7 @@ def test_sample_and_decode_nodes_keep_the_noise_and_intermediates_off_the_tape()
 
 
 def _edges(rng, n):
-    return (rng.random((n, n)) < 0.4).astype(np.float64)
+    return Graph((rng.random((n, n)) < 0.4).astype(np.float64))
 
 
 def _decoder_input(rng, n, d, decided):
@@ -359,13 +387,13 @@ def test_likelihood_node_matches_the_primitive_chain_bit_for_bit(
 ):
     rng = np.random.default_rng(seed)
     z0 = _decoder_input(rng, n, d, decided)
-    adj = _edges(rng, n)
+    graph = _edges(rng, n)
     above = np.abs(z0 @ z0.T) > _DECIDED_LOGIT
     assert {"none": not above.any(), "all": above.all()}.get(decided, True)
 
     def run(decode, nll):
         z = Parameter(z0.copy())
-        value = nll(adj, decode(z))
+        value = nll(graph, decode(z))
         # z has a second consumer, so the order of its gradient
         # contributions shows in the bits
         terms = [value * 0.5, (z * z).sum()]
@@ -396,11 +424,11 @@ def test_likelihood_node_on_the_decided_bound_and_at_infinity(seed, n, beyond):
     rng = np.random.default_rng(seed)
     pool = _BOUND_LOGITS[np.abs(_BOUND_LOGITS) > _DECIDED_LOGIT] if beyond else _BOUND_LOGITS
     logits0 = rng.choice(pool, size=(n, n))
-    adj = _edges(rng, n)
+    graph = _edges(rng, n)
 
     def run(nll):
         logits = Parameter(logits0.copy())
-        value = nll(adj, logits)
+        value = nll(graph, logits)
         backward(value * -1.5)
         return value.value, logits.grad
 
