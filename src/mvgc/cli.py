@@ -9,7 +9,6 @@ success (and, for ``verify``, all checks passing), 2 for unusable input
 
 import argparse
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from .dataio import (
     _CONFIG_FIELDS,
     DatasetError,
     RunConfig,
+    SbmArgumentError,
     generate_sbm,
     load_dataset,
     parse_config_file,
@@ -95,38 +95,21 @@ def _cmd_cluster(args):
     return 0
 
 
-def _check_synth_flags(args):
-    """Raise ``DatasetError`` naming the first out-of-range ``synth`` flag,
-    before anything is drawn or written."""
-    rules = (
-        ("--n", args.n, args.n >= 1, "must be at least 1"),
-        ("--c", args.c, 1 <= args.c <= args.n, f"must lie in [1, --n {args.n}]"),
-        ("--views", args.views, args.views >= 1, "must be at least 1"),
-        ("--p-in", args.p_in, 0.0 < args.p_in <= 1.0, "must lie in (0, 1]"),
-        ("--p-out", args.p_out, 0.0 <= args.p_out < args.p_in,
-         f"must lie in [0, --p-in {args.p_in:g})"),
-        ("--feature-dim", args.feature_dim, args.feature_dim >= args.c,
-         f"must be at least --c {args.c}"),
-        ("--feature-noise", args.feature_noise,
-         0.0 <= args.feature_noise < math.inf, "must be finite and nonnegative"),
-        ("--noisy-view", args.noisy_view,
-         args.noisy_view is None or 1 <= args.noisy_view <= args.views,
-         f"is 1-based and must lie in [1, --views {args.views}]"),
-        ("--seed", args.seed, args.seed >= 0, "must be nonnegative"),
-    )
-    for flag, value, ok, rule in rules:
-        if not ok:
-            raise DatasetError(f"{flag} {value:g} {rule}")
-
-
 def _cmd_synth(args):
-    _check_synth_flags(args)
     noisy = None if args.noisy_view is None else args.noisy_view - 1
-    dataset = generate_sbm(
-        n=args.n, c=args.c, V=args.views, p_in=args.p_in, p_out=args.p_out,
-        feature_dim=args.feature_dim, feature_noise=args.feature_noise,
-        noisy_view=noisy, seed=args.seed,
-    )
+    try:
+        dataset = generate_sbm(
+            n=args.n, c=args.c, V=args.views, p_in=args.p_in, p_out=args.p_out,
+            feature_dim=args.feature_dim, feature_noise=args.feature_noise,
+            noisy_view=noisy, seed=args.seed,
+        )
+    except SbmArgumentError as err:
+        # name the flag and the value as typed; nothing is drawn or written
+        dest = "views" if err.name == "V" else err.name
+        rule = err.rule + (" (1-based)" if dest == "noisy_view" else "")
+        raise DatasetError(
+            f"--{dest.replace('_', '-')} {getattr(args, dest):g} {rule}"
+        ) from None
     save_dataset(dataset, args.out)
     print(f"wrote {args.n} nodes / {args.views} views to {args.out}")
     return 0

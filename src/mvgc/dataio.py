@@ -18,7 +18,6 @@ n x n array on the way.
 import json
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -31,6 +30,16 @@ logger = logging.getLogger(__name__)
 
 class DatasetError(Exception):
     """Raised on malformed dataset input; the message names the file."""
+
+
+class SbmArgumentError(ValueError):
+    """An out-of-range ``generate_sbm`` argument: the parameter's ``name``
+    and the ``rule`` its value breaks."""
+
+    def __init__(self, name, value, rule):
+        super().__init__(f"{name}={value} {rule}")
+        self.name = name
+        self.rule = rule
 
 
 @dataclass(frozen=True)
@@ -256,33 +265,9 @@ def _first_non_finite_cell(path):
 
 def _load_edges(path, n, directed):
     """The graph of an edge-list file, built from the parsed index pairs;
-    a repeated line is one edge.
-
-    numpy parses a well-formed file in one pass.  A file it rejects, or one
-    with an id out of range, is read again line by line (``_edge_lines``),
-    which raises the error naming the line, or parses what numpy's integer
-    reader does not (``int`` also takes ``1_000``)."""
-    try:
-        with warnings.catch_warnings():
-            # an empty file warns, and is an empty graph
-            warnings.simplefilter("ignore", UserWarning)
-            pairs = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
-    except ValueError:
-        pairs = None
-    if pairs is None or pairs.size and (
-        pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n
-    ):
-        pairs = _edge_lines(path, n)
-    rows, cols = pairs.reshape(-1, 2).T
-    if not directed:
-        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    return add_self_loops(Graph.from_edges(n, rows, cols))
-
-
-def _edge_lines(path, n):
-    """The (i, j) pairs of an edge-list file as an int64 array, read line by
-    line; raises ``DatasetError`` naming the first bad line."""
-    pairs = []
+    a repeated line is one edge.  Raises ``DatasetError`` naming the first
+    bad line."""
+    rows, cols = [], []
     with path.open() as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -303,8 +288,12 @@ def _edge_lines(path, n):
                 raise DatasetError(
                     f"{path.name} line {lineno}: node index out of range [0, {n})"
                 )
-            pairs.append((i, j))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+            rows.append(i)
+            cols.append(j)
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    if not directed:
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    return add_self_loops(Graph.from_edges(n, rows, cols))
 
 
 _LABEL_MIN, _LABEL_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
@@ -393,16 +382,23 @@ def generate_sbm(n, c, V, p_in, p_out, feature_dim=16, feature_noise=0.3,
     ``feature_noise`` everywhere, clipped back into [0, 1].  ``noisy_view``
     (0-based) replaces that view's graph with pure p_out noise.
     """
-    if min(n, c, V) < 1:
-        raise ValueError(f"n={n}, c={c} and V={V} must each be at least 1")
-    if not 0.0 <= p_out < p_in <= 1.0:
-        raise ValueError("need 0 <= p_out < p_in <= 1")
-    if c > n:
-        raise ValueError("more clusters than nodes")
-    if feature_dim < c:
-        raise ValueError(f"feature_dim {feature_dim} cannot hold {c} cluster codes")
-    if noisy_view is not None and not 0 <= noisy_view < V:
-        raise ValueError(f"noisy_view {noisy_view} out of range for V={V}")
+    rules = (
+        ("n", n, n >= 1, "must be at least 1"),
+        ("c", c, 1 <= c <= n, f"must lie in [1, n={n}]: no more clusters than nodes"),
+        ("V", V, V >= 1, "must be at least 1"),
+        ("p_in", p_in, 0.0 < p_in <= 1.0, "must lie in (0, 1]"),
+        ("p_out", p_out, 0.0 <= p_out < p_in, f"must lie in [0, p_in={p_in:g})"),
+        ("feature_dim", feature_dim, feature_dim >= c,
+         f"must be at least c={c} to hold the cluster codes"),
+        ("feature_noise", feature_noise, 0.0 <= feature_noise < math.inf,
+         "must be finite and nonnegative"),
+        ("noisy_view", noisy_view, noisy_view is None or 0 <= noisy_view < V,
+         f"must index one of the V={V} views"),
+        ("seed", seed, seed >= 0, "must be nonnegative"),
+    )
+    for name, value, ok, rule in rules:
+        if not ok:
+            raise SbmArgumentError(name, value, rule)
     rng = np.random.default_rng(seed)
     base, extra = divmod(n, c)
     sizes = [base + (1 if k < extra else 0) for k in range(c)]

@@ -18,16 +18,23 @@ class Graph:
     """n x n binary adjacency, held as a ``scipy.sparse`` CSR array of unit
     entries in canonical form: sorted column indices, no duplicates and no
     stored zeros.  Built from a dense or sparse 0/1 matrix, or from edge
-    index arrays with ``from_edges``."""
+    index arrays with ``from_edges``.  A matrix already in that form is held
+    as given, not copied."""
 
     adj: sparse.csr_array
 
     def __post_init__(self):
         if sparse.issparse(self.adj):
-            # a copy, so canonicalizing leaves the caller's matrix alone
-            adj = sparse.csr_array(self.adj, dtype=np.float64, copy=True)
-            adj.sum_duplicates()
-            adj.eliminate_zeros()
+            adj = self.adj
+            canonical = (
+                isinstance(adj, sparse.csr_array) and adj.dtype == np.float64
+                and adj.has_canonical_format and adj.data.all()
+            )
+            if not canonical:
+                # a copy, so canonicalizing leaves the caller's matrix alone
+                adj = sparse.csr_array(adj, dtype=np.float64, copy=True)
+                adj.sum_duplicates()
+                adj.eliminate_zeros()
             values = adj.data
         else:
             values = np.asarray(self.adj, dtype=np.float64)

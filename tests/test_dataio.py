@@ -13,6 +13,7 @@ from mvgc.dataio import (
     DatasetError,
     MultiViewDataset,
     RunConfig,
+    SbmArgumentError,
     generate_sbm,
     load_dataset,
     min_max_scale,
@@ -170,6 +171,18 @@ def test_generate_sbm_validates_arguments():
         generate_sbm(n=10, c=2, V=2, p_in=0.5, p_out=0.1, noisy_view=2)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("n", 0), ("c", 0), ("V", 0), ("p_in", 0.0), ("feature_noise", -0.1),
+     ("feature_noise", float("inf")), ("noisy_view", -1), ("seed", -1)],
+)
+def test_generate_sbm_names_the_argument_it_rejects(name, value):
+    kwargs = dict(n=10, c=2, V=2, p_in=0.5, p_out=0.1) | {name: value}
+    with pytest.raises(SbmArgumentError, match=f"^{name}=") as info:
+        generate_sbm(**kwargs)
+    assert info.value.name == name
+
+
 def test_dataset_save_load_round_trip(tmp_path):
     dataset = generate_sbm(n=15, c=3, V=2, p_in=0.7, p_out=0.1, seed=4)
     save_dataset(dataset, tmp_path / "toy")
@@ -249,6 +262,25 @@ def test_load_reports_malformed_files_by_name_and_line(tmp_path):
     (root / "labels.txt").write_text(f"0\n1\n0\n{2**63}\n")
     with pytest.raises(DatasetError, match=r"labels\.txt line 4: .* 64 bits"):
         load_dataset(root)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("0.5\t1", "non-integer node id"),
+        ("1.9 2", "non-integer node id"),
+        ("1 two", "non-integer node id"),
+        ("0 1 2", "expected two node ids"),
+        ("1", "expected two node ids"),
+        ("-1 2", r"node index out of range \[0, 4\)"),
+    ],
+)
+def test_a_bad_edge_line_is_named(tmp_path, line, message):
+    (tmp_path / "meta").write_text("n=4\nV=1\nc=2\n")
+    np.savetxt(tmp_path / "features_v1.csv", np.zeros((4, 2)), delimiter=",")
+    (tmp_path / "graph_v1.tsv").write_text(f"0 1\n{line}\n")
+    with pytest.raises(DatasetError, match=rf"graph_v1\.tsv line 2: {message}"):
+        load_dataset(tmp_path)
 
 
 @pytest.mark.parametrize(

@@ -32,12 +32,39 @@ def test_graph_rejects_bad_shapes_and_values():
         Graph(sparse.csr_array(np.ones((3, 2))))
 
 
-def test_graph_from_a_sparse_matrix_is_canonical_and_leaves_it_alone():
-    coo = sparse.coo_array(([1.0, 0.0, 1.0], ([1, 0, 0], [0, 1, 0])), shape=(2, 2))
-    g = Graph(coo)
-    assert g.adj.has_canonical_format and g.adj.nnz == 2
-    assert np.array_equal(g.adj.toarray(), [[1.0, 0.0], [1.0, 0.0]])
-    assert coo.nnz == 3
+def _stored(matrix):
+    """The stored entries in storage order, stored zeros included."""
+    coo = sparse.coo_array(matrix)
+    return coo.data.tolist(), coo.row.tolist(), coo.col.tolist()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # a stored zero and an unsorted row
+        lambda: sparse.coo_array(
+            ([1.0, 0.0, 1.0], ([1, 0, 0], [0, 1, 0])), shape=(2, 2)
+        ),
+        # a CSR with sorted, unique indices but a stored zero
+        lambda: sparse.csr_array(
+            ([1.0, 0.0, 1.0], [0, 1, 0], [0, 2, 3]), shape=(2, 2)
+        ),
+        # a CSR with no stored zero but unsorted indices
+        lambda: sparse.csr_array(([1.0, 1.0], [1, 0], [0, 2, 2]), shape=(2, 2)),
+    ],
+)
+def test_graph_from_a_sparse_matrix_is_canonical_and_leaves_it_alone(make):
+    matrix, expected = make(), make().toarray()
+    g = Graph(matrix)
+    assert g.adj is not matrix
+    assert g.adj.has_canonical_format and (g.adj.data == 1.0).all()
+    assert np.array_equal(g.adj.toarray(), expected)
+    assert _stored(matrix) == _stored(make())
+
+
+def test_a_canonical_csr_is_held_as_given():
+    adj = Graph.from_edges(3, np.array([0, 1, 2]), np.array([1, 0, 2])).adj
+    assert Graph(adj).adj is adj
 
 
 def test_add_self_loops_sets_diagonal_only():

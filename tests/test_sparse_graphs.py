@@ -117,8 +117,8 @@ _EDGE_LISTS = st.integers(1, 8).flatmap(
 @example((3, [(0, 1), (0, 1), (2, 2), (1, 0)]), True, "{}")
 @example((2, []), False, "{}")
 def test_loaded_edges_match_the_dense_loader(n_lines, directed, spelling):
-    # "0_{}" is an id Python's int reads and numpy's parser rejects, so the
-    # file is read line by line
+    # ids are read with int(), so "+3" and "0_3" are ids as they were for the
+    # dense loader
     n, lines = n_lines
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph_v1.tsv"
