@@ -2,6 +2,14 @@
 
 k-means runs all its restarts together: each ++ seeding step and each Lloyd
 step reads the embedding once for every restart, through one matrix product.
+
+Fusion and the Student's-t soft assignment (DEC, Xie et al. 2016) run on
+every epoch's tape, each as one node.  The fusion scales each view straight
+into its columns of the fused array and keeps only the views; the soft
+assignment keeps its input, the centroids and three n x c arrays, and
+forms z * z only to sum it.  Each hands its inputs the gradient pairs of
+the primitive chain it replaces, in that chain's order, so gradients come
+out bit for bit as the chain's.
 """
 
 from dataclasses import dataclass
@@ -9,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import nmi
-from .nncore import Tensor, concat
-from .nncore.tensor import _wrap
+from .nncore import Tensor
+from .nncore.tensor import _record, _tracked, _unbroadcast, _wrap
 
 _BELIEF_FLOOR = 1e-12
 
@@ -47,16 +55,45 @@ def fuse(embeddings, beliefs):
     """Concatenate the views' embeddings, each scaled by its belief.
 
     Accepts Tensors (keeps gradients) or plain arrays; view order follows the
-    dataset order.
+    dataset order.  Each view is scaled straight into its columns of one
+    float64 array.  Given Tensors, that array is one tape node that keeps
+    only the views: view v gets its columns of the gradient times b^v, in
+    view order, as the per-view products and the concat they feed give it.
     """
     b = beliefs.b if isinstance(beliefs, Beliefs) else tuple(beliefs)
     if len(b) != len(embeddings):
         raise ValueError(f"{len(embeddings)} embeddings but {len(b)} beliefs")
-    if any(isinstance(z, Tensor) for z in embeddings):
-        return concat([_wrap(z) * bv for z, bv in zip(embeddings, b)], axis=1)
-    return np.concatenate(
-        [np.asarray(z) * bv for z, bv in zip(embeddings, b)], axis=1
-    )
+    if not embeddings:
+        raise ValueError("nothing to fuse")
+    tensors = any(isinstance(z, Tensor) for z in embeddings)
+    if tensors:
+        embeddings = [_wrap(z) for z in embeddings]
+        values = [z.value for z in embeddings]
+    else:
+        values = [np.asarray(z) for z in embeddings]
+    rows = values[0].shape[0]
+    if any(v.ndim != 2 or v.shape[0] != rows for v in values):
+        raise ValueError(
+            f"cannot fuse embeddings of shapes {[v.shape for v in values]}"
+        )
+    ends = np.cumsum([v.shape[1] for v in values])
+    columns = [slice(end - v.shape[1], end) for v, end in zip(values, ends)]
+    fused = np.empty((rows, int(ends[-1])))
+    for v, bv, cols in zip(values, b, columns):
+        np.multiply(v, bv, out=fused[:, cols])
+    if not tensors:
+        return fused
+    tracked = [
+        (z, bv, cols) for z, bv, cols in zip(embeddings, b, columns) if _tracked(z)
+    ]
+    if not tracked:
+        return Tensor(fused)
+
+    def grad_fn(g):
+        for z, bv, cols in tracked:
+            yield z, g[:, cols] * bv, True
+
+    return _record(Tensor(fused), tuple(embeddings), grad_fn)
 
 
 def _seed_d2(z, z_sq, idx):
@@ -203,14 +240,47 @@ def update_beliefs(pseudo_labels, view_labels, rho):
 
 def soft_assignment(z, centroids):
     """Student's-t responsibilities (one degree of freedom) of each row of z
-    toward constant centroids."""
+    toward constant centroids C:
+
+        q = kernel / kernel.sum(1),  kernel = (1 + d2) ** -1,
+        d2 = |z|^2 - 2 z C^T + |C|^2.
+
+    One tape node, which keeps z, the centroids and three small arrays, 1 +
+    d2, the kernel and its row sums, but not z * z.  Its backward runs the
+    chain's gradient ops and hands z the chain's three pairs in the chain's
+    order: the row-norm term g_|z|^2 * z twice, as the product z * z does,
+    then the cross term (-2 g_d2) C.
+    """
     centroids = np.asarray(centroids, dtype=np.float64)
     z = _wrap(z)
-    z_sq = (z * z).sum(axis=1, keepdims=True)
-    d2 = z_sq - 2.0 * (z @ centroids.T) + (centroids * centroids).sum(axis=1)
-    kernel = (1.0 + d2) ** -1.0
-    q = kernel / kernel.sum(axis=1, keepdims=True)
-    return SoftAssignment(q=q, centroids=centroids)
+    zv = z.value
+    sq_shape = (zv.shape[0], 1)
+    cross = zv @ centroids.T
+    cross *= 2.0
+    shifted = (zv * zv).sum(axis=1, keepdims=True) - cross
+    del cross
+    shifted += (centroids * centroids).sum(axis=1)
+    shifted += 1.0
+    kernel = shifted ** -1.0
+    k_sum = kernel.sum(axis=1, keepdims=True)
+    q = Tensor(kernel / k_sum)
+    if not _tracked(z):
+        return SoftAssignment(q=q, centroids=centroids)
+
+    def grad_fn(g):
+        g_sum = _unbroadcast(-g * kernel / (k_sum * k_sum), k_sum.shape)
+        g_d2 = g / k_sum
+        g_d2 += g_sum
+        g_d2 = g_d2 * -1.0 * shifted ** -2.0
+        g_cross = -g_d2 * 2.0
+        g_z = _unbroadcast(g_d2, sq_shape) * zv
+        del g_d2
+        yield z, g_z
+        yield z, g_z
+        del g_z
+        yield z, g_cross @ centroids, True
+
+    return SoftAssignment(q=_record(q, (z,), grad_fn), centroids=centroids)
 
 
 def target_distribution(q):

@@ -2,7 +2,8 @@
 
 On-disk layout of a dataset directory:
 
-    meta                flat key=value text: n, V, c, optional directed, names
+    meta                flat key=value text: n, V, c, optional directed
+                        (true or false, in any case), names
     features_v{v}.csv   one row per node, comma-separated (v is 1-based)
     graph_v{v}.tsv      edge list, two 0-indexed node ids per line (optional;
                         a missing file triggers kNN construction)
@@ -199,15 +200,25 @@ def _parse_meta(path):
         try:
             entries[key] = int(entries[key])
         except ValueError:
-            raise DatasetError(f"meta: key {key!r} must be an integer") from None
+            raise DatasetError(
+                f"meta line {first_line[key]}: key {key!r} must be an integer"
+            ) from None
     n, num_views, c = entries["n"], entries["V"], entries["c"]
     if n < 1:
-        raise DatasetError(f"meta: n={n} must be at least 1")
+        raise DatasetError(f"meta line {first_line['n']}: n={n} must be at least 1")
     if num_views < 1:
-        raise DatasetError(f"meta: V={num_views} must be at least 1")
+        raise DatasetError(
+            f"meta line {first_line['V']}: V={num_views} must be at least 1"
+        )
     if not 1 <= c <= n:
-        raise DatasetError(f"meta: c={c} must lie in [1, n={n}]")
-    entries["directed"] = str(entries.get("directed", "false")).lower() == "true"
+        raise DatasetError(f"meta line {first_line['c']}: c={c} must lie in [1, n={n}]")
+    directed = entries.get("directed", "false").lower()
+    if directed not in ("true", "false"):
+        raise DatasetError(
+            f"meta line {first_line['directed']}: directed={entries['directed']!r} "
+            f"must be true or false"
+        )
+    entries["directed"] = directed == "true"
     return entries
 
 

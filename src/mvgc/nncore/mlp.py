@@ -127,14 +127,12 @@ def _layer(h, w, b, activation, rate, rng):
             g = g * (y > 0)
         elif activation == "sigmoid":
             g = g * act * (1.0 - act)
-        pairs = []
         if tb:
-            pairs.append((b, _unbroadcast(g, b.value.shape)))
+            yield b, _unbroadcast(g, b.value.shape)
         if th:
-            pairs.append((h, g @ w.value.T))
+            yield h, g @ w.value.T, True
         if tw:
-            pairs.append((w, h.value.T @ g))
-        return pairs
+            yield w, h.value.T @ g, True
 
     return _record(out, (h, w, b), grad_fn)
 

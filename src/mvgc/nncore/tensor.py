@@ -12,16 +12,29 @@ the plain arrays it needs.  It never captures the output Tensor it is
 attached to: that would make a reference cycle (out -> grad_fn -> out), and
 the tape would then outlive the loss until the cycle collector runs.  Ops
 whose gradient needs their own result capture the result array.  Where a
-chain of ops runs on every epoch over large arrays, one fused node replaces
-it, so its intermediates never reach the tape:
+chain of ops runs on every epoch over n x d or n x n arrays, one fused node
+replaces it, so its intermediates never reach the tape:
 
-- ``binary_cross_entropy`` here;
+- here: ``binary_cross_entropy``, and ``bernoulli_entropy``, whose forward
+  and backward each fill one array the size of its input;
 - the MLP layer (``mlp``): affine map, activation and dropout, keeping a
   boolean dropout mask;
 - in ``mvgc.vargen``: the concrete sample, which also forms the posterior
   logits K Q^T in the buffer that becomes the sample, so neither the logits
-  nor the noise reach the tape; the decoder logits Z Z^T; and the adjacency
-  likelihood, which keeps the sparse graph rather than a dense adjacency.
+  nor the noise reach the tape; its row normalization, which forms the row
+  term of its backward a row block at a time; the decoder logits Z Z^T; and
+  the adjacency likelihood, which keeps the sparse graph rather than a
+  dense adjacency;
+- in ``mvgc.cluster``: the fusion, which keeps no scaled copy of a view, and
+  the soft assignment, which keeps z and n x c arrays but not z * z.
+
+A fused node hands its parents the pairs the chain would, in the chain's
+order, so the walk sums them in the same order and the gradients come out
+bit for bit.  A gradient function returns its (parent, gradient) pairs or
+yields them one at a time; a generator lets the walk add each pair in
+before the next is made.  A pair may carry a third item, True, when its
+function made the array for that pair alone and keeps no other use of it:
+the array is handed over, and the walk may add later pairs into it.
 
 A node whose gradient is zero by construction need not be recorded at
 all: the adjacency likelihood records none when the BCE clamp decides every
@@ -31,7 +44,10 @@ then computes its value from per-entry constants.
 ``backward`` consumes the tape node by node: once a node has passed its
 gradient on, its closure and parent links are dropped, so each intermediate
 array is freed as soon as nothing later in the walk reads it.  A consumed
-loss cannot be walked again.
+loss cannot be walked again.  A node reached by several pairs gets their
+sum in place, in an array handed over or else in one the walk makes at the
+second pair; the walk writes into no other array a gradient function
+returns.
 
 Inside ``no_grad()`` nothing is tracked, so no op records a tape node: a pass
 whose values are all the caller reads builds no tape at all.
@@ -193,6 +209,23 @@ def _record(out, parents, grad_fn):
     return out
 
 
+# a row block holds about this many entries, so that the temporaries of a
+# blockwise pass stay in cache
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(shape):
+    """Slices over the first axis of an array of ``shape``, each covering
+    about ``_BLOCK_ENTRIES`` entries; one index over everything for a 0-d
+    shape."""
+    if not shape:
+        yield ...
+        return
+    step = max(1, _BLOCK_ENTRIES // max(1, int(np.prod(shape[1:]))))
+    for start in range(0, shape[0], step):
+        yield slice(start, start + step)
+
+
 def _unbroadcast(g, shape):
     """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
     if g.shape == shape:
@@ -298,12 +331,10 @@ def matmul(a, b):
         return out
 
     def grad_fn(g):
-        pairs = []
         if ta:
-            pairs.append((a, g @ b.value.T))
+            yield a, g @ b.value.T, True
         if tb:
-            pairs.append((b, a.value.T @ g))
-        return pairs
+            yield b, a.value.T @ g, True
 
     return _record(out, (a, b), grad_fn)
 
@@ -410,17 +441,39 @@ def binary_cross_entropy(target, prediction, clamp=1e-7):
     return _record(out, (pred,), grad_fn)
 
 
+def _entropy_terms(v):
+    """v log v + (1 - v) log(1 - v), the chain's elementwise ops filling one
+    array of ``v``'s layout, the second term a row block at a time."""
+    terms = np.log(v, out=np.empty_like(v))
+    terms *= v
+    for rows in _row_blocks(v.shape):
+        rest = np.log1p(-v[rows])
+        rest *= 1.0 - v[rows]
+        terms[rows] += rest
+    return terms
+
+
 def bernoulli_entropy(p):
     """Summed entropy of independent Bernoulli variables with probabilities
-    ``p``; the caller keeps ``p`` strictly inside (0, 1)."""
+    ``p``; the caller keeps ``p`` strictly inside (0, 1).
+
+    Forward and backward each fill one array of ``p``'s shape and sum or
+    return it whole, so the chain's value and gradient come out bit for bit
+    with no further array of that size."""
     a = _wrap(p)
     v = a.value
-    out = Tensor(-(v * np.log(v) + (1.0 - v) * np.log1p(-v)).sum())
+    out = Tensor(-_entropy_terms(v).sum())
     if not _tracked(a):
         return out
 
     def grad_fn(g):
-        return ((a, g * (np.log1p(-v) - np.log(v))),)
+        # g (log(1 - v) - log v)
+        slope = np.negative(v, out=np.empty_like(v))
+        np.log1p(slope, out=slope)
+        for rows in _row_blocks(v.shape):
+            slope[rows] -= np.log(v[rows])
+        slope *= g
+        yield a, slope, True
 
     return _record(out, (a,), grad_fn)
 
@@ -473,6 +526,10 @@ def backward(loss):
 
     # reverse post-order, popping each node so the list stops holding it
     grads = {id(loss): np.ones((), dtype=np.float64)}
+    # the nodes whose gradient the walk may add into: a sum it made, or an
+    # array a gradient function handed over.  Any other pair's array may be
+    # shared, as add hands one g to both parents, or kept by its function.
+    owned = set()
     while order:
         node = order.pop()
         grad_fn = node._grad_fn
@@ -480,14 +537,35 @@ def backward(loss):
             node._grad_fn = _consumed
             node._parents = ()
         g = grads.pop(id(node), None)
+        owned.discard(id(node))
         if g is None:
             continue
         if node.requires_grad:
             node.grad += g
         if grad_fn is None:
             continue
-        for parent, pg in grad_fn(g):
-            if not _tracked(parent):
-                continue
-            held = grads.get(id(parent))
-            grads[id(parent)] = pg if held is None else held + pg
+        pairs = grad_fn(g)
+        g = None
+        for parent, pg, *handed in pairs:
+            handed = handed == [True]
+            key = id(parent)
+            if _tracked(parent):
+                held = grads.get(key)
+                if held is None:
+                    grads[key] = pg
+                    if handed:
+                        owned.add(key)
+                elif key in owned:
+                    # a 0-d sum is a numpy scalar, which += rebinds
+                    held += pg
+                    grads[key] = held
+                elif handed:
+                    pg += held
+                    grads[key] = pg
+                    owned.add(key)
+                else:
+                    grads[key] = held + pg
+                    owned.add(key)
+                held = None
+            # drop the pair before a generator makes the next one
+            parent = pg = None

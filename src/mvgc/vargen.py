@@ -21,7 +21,7 @@ from .nncore import (
     init_params,
     mlp_apply,
 )
-from .nncore.tensor import _record, _tracked, _wrap
+from .nncore.tensor import _record, _row_blocks, _tracked, _unbroadcast, _wrap
 
 # the relaxed sample is nudged this far off exact 0 and 1
 _SAMPLE_FLOOR = 1e-12
@@ -161,19 +161,41 @@ def sample_consensus(k, q, tau, noise=None):
 
     def grad_fn(g):
         g = g * inside * s * (1.0 - s) / tau
-        pairs = []
         if tk:
-            pairs.append((k, g @ qt.T))
+            yield k, g @ qt.T, True
         if tq:
-            pairs.append((q, (k.value.T @ g).T))
-        return pairs
+            yield q, (k.value.T @ g).T, True
 
     return _record(Tensor(s), (k, q), grad_fn)
 
 
 def normalize_consensus(s):
-    """Row-normalize the relaxed sample so it can drive message passing."""
-    return s / s.sum(axis=1, keepdims=True)
+    """Row-normalize the relaxed sample so it can drive message passing.
+
+    One tape node, which keeps the sample and its row sums r; the sample
+    node keeps the sample anyway.  For the gradient G of S / r, S gets G / r
+    and then the row term, the row sums of -G S / r^2 spread back over each
+    row, as the quotient and the row sum of the chain give them.  The row
+    term is formed a row block at a time and handed on as a broadcast view,
+    so the backward makes one n x n array, G / r.
+    """
+    s = _wrap(s)
+    sv = s.value
+    r = sv.sum(axis=1, keepdims=True)
+    out = Tensor(sv / r)
+    if not _tracked(s):
+        return out
+
+    def grad_fn(g):
+        g_r = np.empty_like(r)
+        for rows in _row_blocks(sv.shape):
+            g_r[rows] = _unbroadcast(
+                -g[rows] * sv[rows] / (r[rows] * r[rows]), g_r[rows].shape
+            )
+        yield s, g / r, True
+        yield s, np.broadcast_to(g_r, sv.shape)
+
+    return _record(out, (s,), grad_fn)
 
 
 def kl_upper_bound(beta):
@@ -203,7 +225,8 @@ def decode_adjacency(z):
         return logits
 
     def grad_fn(g):
-        return ((z, g @ zt.T), (z, (z.value.T @ g).T))
+        yield z, g @ zt.T, True
+        yield z, (z.value.T @ g).T, True
 
     return _record(logits, (z,), grad_fn)
 
@@ -251,11 +274,15 @@ def adjacency_nll(graph, logits):
     decided |= positive
     if decided.all():
         del decided
-        # each entry's flat index into the table: 2 * positive + edge
-        index = positive.view(np.uint8)
-        index <<= 1
-        index.reshape(-1)[np.ravel_multi_index(graph.edges(), lv.shape)] |= 1
-        return Tensor(_DECIDED_TERMS.take(index).sum())
+        # each entry's term from the table: its row by the sign of the logit,
+        # its column by whether the entry is an edge
+        terms = np.full(lv.shape, _DECIDED_TERMS[0, 0])
+        np.copyto(terms, _DECIDED_TERMS[1, 0], where=positive)
+        edges = np.ravel_multi_index(graph.edges(), lv.shape)
+        terms.reshape(-1)[edges] = np.where(
+            positive.reshape(-1)[edges], _DECIDED_TERMS[1, 1], _DECIDED_TERMS[0, 1]
+        )
+        return Tensor(terms.sum())
     del positive, decided
     out = Tensor(_bce_terms(graph.adj.toarray(), lv).sum())
     if not _tracked(logits):

@@ -142,7 +142,7 @@ def test_cluster_count_out_of_range_in_meta_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
                  *FAST_FLAGS]) == 2
-    assert "meta: c=0" in capsys.readouterr().err
+    assert "meta line 3: c=0" in capsys.readouterr().err
 
 
 def test_repeated_meta_key_exits_two(tmp_path, capsys):

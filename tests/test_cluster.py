@@ -16,7 +16,8 @@ from mvgc.cluster import (
     update_beliefs,
 )
 from mvgc.metrics import nmi
-from mvgc.nncore import Parameter, Tensor, grad_check
+from mvgc.nncore import Parameter, Tensor, backward, concat, grad_check
+from mvgc.nncore.tensor import _wrap
 
 
 def blobs(seed=0, n_per=20, c=3, spread=0.05):
@@ -226,6 +227,127 @@ def test_fuse_keeps_gradients_for_tensor_inputs():
 def test_fuse_rejects_belief_count_mismatch():
     with pytest.raises(ValueError):
         fuse([np.zeros((2, 2))], (1.0, 0.5))
+
+
+def test_fuse_rejects_embeddings_it_cannot_concatenate():
+    with pytest.raises(ValueError, match="nothing to fuse"):
+        fuse([], ())
+    with pytest.raises(ValueError, match="cannot fuse"):
+        fuse([np.zeros((2, 2)), np.zeros((3, 2))], (1.0, 0.5))
+    with pytest.raises(ValueError, match="cannot fuse"):
+        fuse([Tensor(np.zeros((1, 2))), np.zeros((3, 2))], (1.0, 0.5))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _primitive_fuse(embeddings, b):
+    """``fuse`` as the chain of primitive ops its node replaces."""
+    return concat([_wrap(z) * bv for z, bv in zip(embeddings, b)], axis=1)
+
+
+def _primitive_soft_assignment(z, centroids):
+    """``soft_assignment`` as the chain of primitive ops its node replaces;
+    returns q."""
+    z = _wrap(z)
+    z_sq = (z * z).sum(axis=1, keepdims=True)
+    d2 = z_sq - 2.0 * (z @ centroids.T) + (centroids * centroids).sum(axis=1)
+    kernel = (1.0 + d2) ** -1.0
+    return kernel / kernel.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fuse_node_matches_the_primitive_chain_bit_for_bit(data):
+    views = data.draw(st.integers(1, 3), label="views")
+    n = data.draw(st.integers(1, 5), label="rows")
+    widths = data.draw(st.lists(st.integers(1, 4), min_size=views, max_size=views))
+    b = data.draw(st.lists(
+        st.sampled_from([1.0, 0.5, 0.3137, 1e-12]), min_size=views, max_size=views,
+    ))
+    # "param": a Parameter of its own; "constant": a plain array; an int:
+    # the same input as that earlier view
+    kinds = [
+        data.draw(st.sampled_from(["param", "constant", *range(v)]), label=f"view {v}")
+        for v in range(views)
+    ]
+    other_first = data.draw(st.booleans(), label="other consumer first")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    starts = [rng.normal(size=(n, w)) for w in widths]
+
+    def run(fuse_fn):
+        params = [Parameter(v.copy()) for v in starts]
+        inputs = []
+        for v, kind in enumerate(kinds):
+            if kind == "param":
+                inputs.append(params[v])
+            elif kind == "constant":
+                inputs.append(starts[v])
+            else:
+                inputs.append(inputs[kind])
+        # all-constant inputs fuse to a plain array
+        out = _wrap(fuse_fn(inputs, b))
+        weight = np.random.default_rng(seed + 1).normal(size=out.shape)
+        # every Parameter has a second consumer, so the order of its
+        # gradient contributions shows in the bits
+        terms = [(out * weight).sum(), sum((p * p).sum() for p in params)]
+        backward(terms[1] + terms[0] if other_first else terms[0] + terms[1])
+        return [out.value] + [p.grad for p in params]
+
+    fused = run(fuse)
+    primitive = run(_primitive_fuse)
+    assert all(_same_bits(x, y) for x, y in zip(fused, primitive))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4),
+    st.integers(1, 4), st.sampled_from([0.3, 1.0, 30.0]),
+    st.sampled_from(["none", "before", "after", "fused"]),
+)
+@example(0, 5, 3, 2, 1.0, "fused")
+@example(0, 1, 1, 1, 1.0, "none")
+def test_soft_assignment_node_matches_the_primitive_chain_bit_for_bit(
+    seed, n, d, c, scale, other
+):
+    # other: where z has another consumer, if any: a term summed before or
+    # after the clustering loss, or, as in training, a fusion of z with a
+    # second view whose own soft assignment is scored too
+    rng = np.random.default_rng(seed)
+    z0, z1 = rng.normal(scale=scale, size=(2, n, d))
+    centroids = rng.normal(scale=scale, size=(c, d))
+    wide = rng.normal(scale=scale, size=(c, 2 * d))
+    p = rng.uniform(0.01, 1.0, size=(n, c))
+    p /= p.sum(axis=1, keepdims=True)
+
+    def run(assign, fuse_fn):
+        z, w = Parameter(z0.copy()), Parameter(z1.copy())
+        loss = clustering_loss(p, [assign(z, centroids)], assign(w, centroids))
+        if other == "before":
+            loss = (z * w).sum() + loss
+        elif other == "after":
+            loss = loss + (z * w).sum()
+        elif other == "fused":
+            zbar = fuse_fn([z, w], (1.0, 0.25))
+            loss = clustering_loss(p, [assign(z, centroids)], assign(zbar, wide)) + loss
+        backward(loss)
+        return loss.value, z.grad, w.grad
+
+    fused = run(lambda z, cen: soft_assignment(z, cen).q, fuse)
+    primitive = run(_primitive_soft_assignment, _primitive_fuse)
+    assert all(_same_bits(x, y) for x, y in zip(fused, primitive))
+
+
+def test_soft_assignment_keeps_no_copy_of_z_shape():
+    z = Parameter(np.random.default_rng(9).normal(size=(5, 3)))
+    q = soft_assignment(z, np.zeros((2, 3))).q
+    held = [cell.cell_contents for cell in q._grad_fn.__closure__]
+    shaped = [obj for obj in held if isinstance(obj, np.ndarray) and obj.shape == (5, 3)]
+    assert q._parents == (z,)
+    assert shaped == [] or all(obj is z.value for obj in shaped)
 
 
 def test_update_beliefs_normalizes_by_the_best_view():

@@ -286,10 +286,10 @@ def test_a_bad_edge_line_is_named(tmp_path, line, message):
 @pytest.mark.parametrize(
     "meta, message",
     [
-        ("n=0\nV=1\nc=1\n", "meta: n=0"),
-        ("n=4\nV=0\nc=2\n", "meta: V=0"),
-        ("n=4\nV=1\nc=0\n", r"meta: c=0 must lie in \[1, n=4\]"),
-        ("n=4\nV=1\nc=5\n", "meta: c=5"),
+        ("n=0\nV=1\nc=1\n", "meta line 1: n=0"),
+        ("n=4\nV=0\nc=2\n", "meta line 2: V=0"),
+        ("n=4\nV=1\nc=0\n", r"meta line 3: c=0 must lie in \[1, n=4\]"),
+        ("n=4\n# comment\nV=1\nc=5\n", "meta line 4: c=5"),
     ],
     ids=["n_zero", "V_zero", "c_zero", "c_above_n"],
 )
@@ -297,6 +297,43 @@ def test_load_rejects_out_of_range_meta_counts(tmp_path, meta, message):
     (tmp_path / "meta").write_text(meta)
     with pytest.raises(DatasetError, match=message):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("key, line", [("n", 1), ("V", 3), ("c", 4)])
+@pytest.mark.parametrize("value", ["four", "2.5", ""])
+def test_a_non_integer_meta_count_names_its_line(tmp_path, key, line, value):
+    entries = {"n": "4", "V": "1", "c": "2"}
+    entries[key] = value
+    (tmp_path / "meta").write_text(
+        f"n={entries['n']}\n\nV={entries['V']}\nc={entries['c']}\n"
+    )
+    with pytest.raises(
+        DatasetError, match=f"^meta line {line}: key '{key}' must be an integer$"
+    ):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("value", ["ture", "yes", "1", "0", "", "true false"])
+def test_a_directed_value_other_than_true_or_false_is_named(tmp_path, value):
+    (tmp_path / "meta").write_text(f"n=3\nV=1\nc=2\n# edges\ndirected={value}\n")
+    with pytest.raises(
+        DatasetError,
+        match=f"^meta line 5: directed='{value}' must be true or false$",
+    ):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("value, directed", [
+    ("true", True), ("TRUE", True), ("True", True),
+    ("false", False), ("False", False), ("FALSE", False),
+])
+def test_directed_reads_true_or_false_in_any_case(tmp_path, value, directed):
+    (tmp_path / "meta").write_text(f"n=3\nV=1\nc=2\ndirected={value}\n")
+    np.savetxt(tmp_path / "features_v1.csv", np.eye(3), delimiter=",")
+    (tmp_path / "graph_v1.tsv").write_text("0 1\n")
+    adj = load_dataset(tmp_path).graphs[0].adj.toarray()
+    assert adj[0, 1] == 1.0
+    assert adj[1, 0] == (0.0 if directed else 1.0)
 
 
 def test_load_rejects_knn_k_not_below_the_node_count(tmp_path):

@@ -25,7 +25,8 @@ from mvgc.nncore import (
     no_grad,
     zero_grads,
 )
-from mvgc.nncore.tensor import _record, _wrap, tensor_sum
+from mvgc.nncore import tensor
+from mvgc.nncore.tensor import _consumed, _record, _tracked, _wrap, tensor_sum
 
 
 def test_scalar_chain_matches_hand_derivative():
@@ -420,3 +421,225 @@ def test_backward_frees_an_intermediate_before_it_returns():
         gc.enable()
     assert freed_when_reached == [True]
     assert np.array_equal(x.grad, np.full((3, 3), 6.0))
+
+
+def _unfused_entropy(p):
+    """``bernoulli_entropy`` as one node over whole-array temporaries, the
+    form its one-buffer passes replace."""
+    a = _wrap(p)
+    v = a.value
+    out = Tensor(-(v * np.log(v) + (1.0 - v) * np.log1p(-v)).sum())
+    return _record(out, (a,), lambda g: ((a, g * (np.log1p(-v) - np.log(v))),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (5,), (3, 4), (7, 7)]),
+    st.sampled_from([1, 5, 1 << 16]), st.sampled_from([1.0, -0.75]),
+    st.sampled_from(["none", "before", "after"]),
+)
+@example(0, (7, 7), 5, 1.0, "after")
+@example(0, (), 1, -0.75, "before")
+def test_entropy_node_matches_the_unfused_node_bit_for_bit(
+    seed, shape, block, upstream, other
+):
+    # block: entries per row block of the second term; other: where p's
+    # second consumer is summed
+    rng = np.random.default_rng(seed)
+    p0 = rng.uniform(1e-12, 1.0 - 1e-12, size=shape)
+    flat = np.reshape(p0, -1)
+    flat[rng.random(flat.size) < 0.3] = rng.choice([1e-12, 0.5, 1.0 - 1e-12])
+
+    def run(entropy):
+        p = Parameter(p0.copy())
+        loss = entropy(p) * upstream
+        if other == "before":
+            loss = (p * p).sum() + loss
+        elif other == "after":
+            loss = loss + (p * p).sum()
+        backward(loss)
+        return loss.value, p.grad
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor, "_BLOCK_ENTRIES", block)
+        fused = run(bernoulli_entropy)
+    unfused = run(_unfused_entropy)
+    assert all(_same_bits(a, b) for a, b in zip(fused, unfused))
+
+
+def _allocating_backward(loss):
+    """``backward`` as a walk that makes a new array for every sum of two
+    contributions, handed over or not, and takes each gradient function's
+    pairs as a list: the oracle for the walk that adds in place."""
+    order, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited and _tracked(parent):
+                stack.append((parent, False))
+    grads = {id(loss): np.ones((), dtype=np.float64)}
+    while order:
+        node = order.pop()
+        grad_fn = node._grad_fn
+        if grad_fn is not None:
+            node._grad_fn = _consumed
+            node._parents = ()
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node.grad += g
+        if grad_fn is None:
+            continue
+        for parent, pg, *_ in list(grad_fn(g)):
+            if _tracked(parent):
+                held = grads.get(id(parent))
+                grads[id(parent)] = pg if held is None else held + pg
+
+
+def _shared_add(x, y):
+    # add hands one g to both parents, and each parent has more consumers
+    a, b = x * 1.5, y * 0.5
+    s = a + b
+    return (s * s).sum() + (a * 3.0).sum() + (b * b).sum() + (a - b).sum()
+
+
+def _many_consumers(x, y):
+    # x feeds five nodes, and the leaves are also consumed directly
+    h = x * y
+    return (h + x).sum() + (x * x).sum() + (x / (y * y + 1.0)).sum() + x.sum() + (
+        h.exp() - x
+    ).sum() + y.sum()
+
+
+NAMED_GRAPHS = {
+    "scalar chain": ((), lambda x, y: (x * x * 3.0 + x).sum()),
+    "scalar fan-in": ((), lambda x, y: x * y + x * x + (x + y) * 2.0 + x),
+    "x * x": ((3,), lambda x, y: (x * x).sum()),
+    "add hands one g to both parents": ((2, 3), _shared_add),
+    "five consumers and direct leaves": ((2, 3), _many_consumers),
+    "x + x": ((4,), lambda x, y: ((x + x) * y).sum() + (x + x).sum()),
+}
+
+
+@pytest.mark.parametrize("shape, build", NAMED_GRAPHS.values(), ids=NAMED_GRAPHS)
+def test_in_place_accumulation_matches_an_allocating_walk(shape, build):
+    rng = np.random.default_rng(23)
+    x0, y0 = rng.uniform(0.5, 1.5, size=(2, *shape))
+
+    def run(walk):
+        x, y = Parameter(x0.copy()), Parameter(y0.copy())
+        walk(build(x, y))
+        return x.grad, y.grad
+
+    assert all(
+        _same_bits(a, b) for a, b in zip(run(backward), run(_allocating_backward))
+    )
+
+
+_PROGRAM_OPS = (
+    "add", "sub", "mul", "div", "neg", "sigmoid", "scale", "rowsum", "matmul",
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([(), (3,), (2, 3)]),
+    st.lists(
+        st.tuples(st.sampled_from(_PROGRAM_OPS), st.integers(0, 99), st.integers(0, 99)),
+        min_size=1, max_size=10,
+    ),
+    st.lists(st.integers(0, 99), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_random_programs_match_an_allocating_walk(shape, program, outputs, seed):
+    """Leaves x, y and z, then each op reads any earlier node (the same one
+    twice too); the loss sums a few nodes.  Both walks must give every leaf
+    the same bits."""
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(0.5, 1.5, size=(3, *shape))
+
+    def run(walk):
+        leaves = [Parameter(v.copy()) for v in starts]
+        nodes = list(leaves)
+        for op, i, j in program:
+            a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
+            if op == "add":
+                nodes.append(a + b)
+            elif op == "sub":
+                nodes.append(a - b)
+            elif op == "mul":
+                nodes.append(a * b)
+            elif op == "div":
+                nodes.append(a / (b * b + 1.0))
+            elif op == "neg":
+                nodes.append(-a)
+            elif op == "sigmoid":
+                nodes.append(a.sigmoid())
+            elif op == "scale":
+                nodes.append(a * 0.3)
+            elif op == "rowsum" and shape:
+                nodes.append(a + b.sum(axis=0, keepdims=True))
+            elif op == "matmul" and len(shape) == 2:
+                # its pairs are handed over to the walk
+                nodes.append(a @ (b.T @ b) * 0.1)
+        loss = None
+        for k in outputs:
+            term = nodes[k % len(nodes)].sum()
+            loss = term if loss is None else loss + term
+        walk(loss)
+        return [p.grad for p in leaves]
+
+    assert all(
+        _same_bits(a, b) for a, b in zip(run(backward), run(_allocating_backward))
+    )
+
+
+def test_backward_never_writes_into_an_array_a_gradient_function_hands_it():
+    x = Parameter(np.ones(3))
+    handed = np.full(3, 2.0)
+    a = _record(Tensor(x.value * 1.0), (x,), lambda g: ((x, handed),))
+    b = _record(Tensor(x.value * 1.0), (x,), lambda g: ((x, handed),))
+    # x gets handed three times, so the walk sums into one array of its own
+    backward(a.sum() + b.sum() + (x * 1.0).sum() * 0.0)
+    assert np.array_equal(handed, np.full(3, 2.0))
+    assert np.array_equal(x.grad, np.full(3, 4.0))
+
+
+def test_backward_adds_into_an_array_handed_over_and_no_other():
+    x = Parameter(np.ones(3))
+    handed, kept = np.full(3, 2.0), np.full(3, 5.0)
+    first = _record(Tensor(x.value * 1.0), (x,), lambda g: ((x, handed, True),))
+    second = _record(Tensor(x.value * 1.0), (x,), lambda g: ((x, kept),))
+    backward(first.sum() + second.sum())
+    # x's running sum is the handed array; the kept one is only read
+    assert np.array_equal(handed, np.full(3, 7.0))
+    assert np.array_equal(kept, np.full(3, 5.0))
+    assert np.array_equal(x.grad, np.full(3, 7.0))
+
+
+def test_backward_drops_each_pair_before_the_next_is_made():
+    x = Parameter(np.ones((2, 2)))
+    constant = Tensor(np.ones((2, 2)))
+    seen = []
+
+    def grad_fn(g):
+        first = np.ones((2, 2))
+        seen.append(weakref.ref(first))
+        # the constant is untracked, so the walk drops this pair unread
+        yield constant, first
+        del first
+        seen.append(seen[0]() is None)
+        yield x, g
+
+    node = _record(Tensor(x.value * 1.0), (x, constant), grad_fn)
+    backward(node.sum())
+    assert seen[1] is True
+    assert np.array_equal(x.grad, np.ones((2, 2)))

@@ -156,6 +156,26 @@ def test_a_saturated_decoder_leaves_no_square_array_on_the_tape():
     assert len(square) == 2
 
 
+def test_the_tape_holds_no_copy_of_an_embedding_or_of_the_fusion():
+    # embed_dim 5 and zbar's width 10 differ from every other width (n 24,
+    # hidden 8, features 6 and 12, c 2): the (n, 5) arrays on the tape can
+    # only be the views' embeddings and their copies, and the (n, 10) ones
+    # zbar and its copies.  Fusion and the soft assignments keep only their
+    # inputs, so there is one of each per view and one zbar.
+    dataset = toy_dataset()
+    config = toy_config(embed_dim=5)
+    state = init_state(dataset, config)
+    total, _, _ = build_loss(
+        state, dataset, config, prepare_epoch(state, dataset, config)
+    )
+    arrays = _tape_arrays(total)
+    n = dataset.n
+    views = [a for a in arrays if a.shape == (n, 5)]
+    fused = [a for a in arrays if a.shape == (n, 10)]
+    assert len(views) == dataset.num_views
+    assert len(fused) == 1
+
+
 def test_neither_the_epoch_artifacts_nor_a_graph_hold_a_square_array():
     dataset = toy_dataset()
     config = toy_config()

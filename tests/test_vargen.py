@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from mvgc.graph import Graph
+from mvgc.nncore import tensor
 from mvgc.nncore import (
     Parameter,
     Tensor,
@@ -337,6 +338,47 @@ def test_decode_node_matches_the_primitive_chain_bit_for_bit(
 
     fused = run(decode_adjacency)
     primitive = run(_primitive_decode)
+    assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
+
+
+def _primitive_normalize(s):
+    """``normalize_consensus`` as the chain of primitive ops its node fuses."""
+    return s / s.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 7), st.sampled_from([1, 3, 1 << 16]),
+    st.booleans(), st.sampled_from(["none", "before", "after"]),
+)
+@example(0, 7, 3, False, "before")
+@example(0, 7, 1 << 16, True, "after")
+def test_normalize_node_matches_the_primitive_chain_bit_for_bit(
+    seed, n, block, transposed, entropy
+):
+    # block: entries per row block of the row term (one row, a few rows,
+    # and every row at once); transposed: the normalized sample is read
+    # through its transpose, so its gradient arrives column-major;
+    # entropy: where the sample's second consumer, its entropy, is summed
+    rng = np.random.default_rng(seed)
+    s0 = rng.uniform(1e-3, 1.0, size=(n, n))
+    x = rng.normal(size=(n, 3))
+
+    def run(normalize):
+        s = Parameter(s0.copy())
+        norm = normalize(s)
+        loss = ((norm.T if transposed else norm) @ x).sum() * 0.5
+        if entropy == "before":
+            loss = consensus_entropy(s) + loss
+        elif entropy == "after":
+            loss = loss + consensus_entropy(s)
+        backward(loss)
+        return norm.value, s.grad
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor, "_BLOCK_ENTRIES", block)
+        fused = run(normalize_consensus)
+    primitive = run(_primitive_normalize)
     assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
 
 
