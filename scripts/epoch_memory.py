@@ -44,7 +44,7 @@ FORWARD_STAGES = (
     "soft_assignment", "target_distribution", "clustering_loss",
 )
 # the likelihood and entropy that elbo_loss calls from mvgc.vargen
-ELBO_STAGES = ("adjacency_nll", "consensus_entropy")
+ELBO_STAGES = ("adjacency_nll", "bernoulli_entropy")
 
 
 class Phases:

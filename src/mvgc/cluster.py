@@ -3,13 +3,14 @@
 k-means runs all its restarts together: each ++ seeding step and each Lloyd
 step reads the embedding once for every restart, through one matrix product.
 
-Fusion and the Student's-t soft assignment (DEC, Xie et al. 2016) run on
-every epoch's tape, each as one node.  The fusion scales each view straight
-into its columns of the fused array and keeps only the views; the soft
-assignment keeps its input, the centroids and three n x c arrays, and
-forms z * z only to sum it.  Each hands its inputs the gradient pairs of
-the primitive chain it replaces, in that chain's order, so gradients come
-out bit for bit as the chain's.
+The beliefs are a plain tuple, one float in (0, 1] per view, and a soft
+assignment a plain n x c Tensor.  Fusion and the Student's-t soft
+assignment (DEC, Xie et al. 2016) run on every epoch's tape, each as one
+node.  The fusion scales each view straight into its columns of the fused
+array and keeps only the views; the soft assignment keeps its input, the
+centroids and three n x c arrays, and forms z * z only to sum it.  Each
+hands its inputs the gradient pairs of the primitive chain it replaces, in
+that chain's order, so gradients come out bit for bit as the chain's.
 """
 
 from dataclasses import dataclass
@@ -21,27 +22,6 @@ from .nncore import Tensor
 from .nncore.tensor import _record, _tracked, _unbroadcast, _wrap
 
 _BELIEF_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class Beliefs:
-    """Per-view trust weights in (0, 1]; the best view always carries 1."""
-
-    b: tuple
-    rho: float
-
-    @classmethod
-    def initial(cls, num_views, rho):
-        return cls(b=(1.0,) * num_views, rho=float(rho))
-
-
-@dataclass(frozen=True)
-class SoftAssignment:
-    """Student's-t cluster responsibilities (rows on the simplex) and the
-    constant centroids they were computed against."""
-
-    q: Tensor
-    centroids: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -60,9 +40,8 @@ def fuse(embeddings, beliefs):
     only the views: view v gets its columns of the gradient times b^v, in
     view order, as the per-view products and the concat they feed give it.
     """
-    b = beliefs.b if isinstance(beliefs, Beliefs) else tuple(beliefs)
-    if len(b) != len(embeddings):
-        raise ValueError(f"{len(embeddings)} embeddings but {len(b)} beliefs")
+    if len(beliefs) != len(embeddings):
+        raise ValueError(f"{len(embeddings)} embeddings but {len(beliefs)} beliefs")
     if not embeddings:
         raise ValueError("nothing to fuse")
     tensors = any(isinstance(z, Tensor) for z in embeddings)
@@ -79,12 +58,13 @@ def fuse(embeddings, beliefs):
     ends = np.cumsum([v.shape[1] for v in values])
     columns = [slice(end - v.shape[1], end) for v, end in zip(values, ends)]
     fused = np.empty((rows, int(ends[-1])))
-    for v, bv, cols in zip(values, b, columns):
+    for v, bv, cols in zip(values, beliefs, columns):
         np.multiply(v, bv, out=fused[:, cols])
     if not tensors:
         return fused
     tracked = [
-        (z, bv, cols) for z, bv, cols in zip(embeddings, b, columns) if _tracked(z)
+        (z, bv, cols)
+        for z, bv, cols in zip(embeddings, beliefs, columns) if _tracked(z)
     ]
     if not tracked:
         return Tensor(fused)
@@ -224,23 +204,23 @@ def kmeans(z, c, seed=0, restarts=10, max_iter=300, tol=1e-6):
     )
 
 
-def update_beliefs(pseudo_labels, view_labels, rho):
-    """Score each view by agreement of its own clustering with the pseudo
-    labels, then normalize by the best score and soften with exponent rho."""
+def update_beliefs(pseudo_labels, clusterings, rho):
+    """One float per view: the agreement of its own clustering with the
+    pseudo labels, normalized by the best view's and softened by exponent rho."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    scores = np.array([nmi(pseudo_labels, labels) for labels in view_labels])
+    scores = np.array([nmi(pseudo_labels, labels) for labels in clusterings])
     top = scores.max()
     if top <= 0.0:
-        b = np.ones(len(view_labels))
+        b = np.ones(len(clusterings))
     else:
         b = np.maximum((scores / top) ** rho, _BELIEF_FLOOR)
-    return Beliefs(b=tuple(float(v) for v in b), rho=float(rho))
+    return tuple(float(v) for v in b)
 
 
 def soft_assignment(z, centroids):
     """Student's-t responsibilities (one degree of freedom) of each row of z
-    toward constant centroids C:
+    toward constant centroids C, as one n x c Tensor q:
 
         q = kernel / kernel.sum(1),  kernel = (1 + d2) ** -1,
         d2 = |z|^2 - 2 z C^T + |C|^2.
@@ -265,7 +245,7 @@ def soft_assignment(z, centroids):
     k_sum = kernel.sum(axis=1, keepdims=True)
     q = Tensor(kernel / k_sum)
     if not _tracked(z):
-        return SoftAssignment(q=q, centroids=centroids)
+        return q
 
     def grad_fn(g):
         g_sum = _unbroadcast(-g * kernel / (k_sum * k_sum), k_sum.shape)
@@ -280,7 +260,7 @@ def soft_assignment(z, centroids):
         del g_z
         yield z, g_cross @ centroids, True
 
-    return SoftAssignment(q=_record(q, (z,), grad_fn), centroids=centroids)
+    return _record(q, (z,), grad_fn)
 
 
 def target_distribution(q):
@@ -299,8 +279,7 @@ def clustering_loss(p_global, q_views, q_global):
     log_p = np.log(np.where(p > 0.0, p, 1.0))
 
     def kl(q):
-        q = q.q if isinstance(q, SoftAssignment) else _wrap(q)
-        return (p * (log_p - q.log())).sum()
+        return (p * (log_p - _wrap(q).log())).sum()
 
     loss = kl(q_global)
     for q in q_views:

@@ -19,7 +19,7 @@ n x n array on the way.
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,10 +82,6 @@ class MultiViewDataset:
         return len(self.views)
 
     @property
-    def features(self):
-        return [x for x, _ in self.views]
-
-    @property
     def graphs(self):
         return [g for _, g in self.views]
 
@@ -114,23 +110,23 @@ class RunConfig:
     restarts: int = _knob(10, "k-means restarts")
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        # each float knob's range excludes nan and the infinities
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError("rho must be nonnegative and finite")
         if self.order < 0:
             raise ValueError("order must be nonnegative")
-        if self.gamma_c < 0 or self.gamma_e < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if not (0 <= self.gamma_c < math.inf and 0 <= self.gamma_e < math.inf):
+            raise ValueError("gamma_c and gamma_e must be nonnegative and finite")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.epochs < 0 or self.hidden <= 0 or self.embed_dim <= 0:
             raise ValueError("epochs/hidden/embed_dim out of range")
         if self.knn_k <= 0 or self.restarts <= 0:
             raise ValueError("knn_k and restarts must be positive")
-
-    def with_overrides(self, **kwargs):
-        return replace(self, **kwargs)
 
 
 # name -> dataclasses.Field of every RunConfig knob, in declaration order
@@ -340,10 +336,10 @@ def read_labels(path, n=None):
     return np.array(labels, dtype=int)
 
 
-def load_dataset(directory, knn_k=10, knn_metric="cosine"):
+def load_dataset(directory, knn_k=10):
     """Load and validate a dataset directory (formats in the module docstring).
 
-    Views without a graph file get a kNN graph built from their scaled
+    Views without a graph file get a cosine kNN graph built from their scaled
     features.
     """
     directory = Path(directory)
@@ -365,10 +361,10 @@ def load_dataset(directory, knn_k=10, knn_metric="cosine"):
                     f"needs more than {knn_k} nodes (meta n={n})"
                 )
             logger.info(
-                "no %s; building a %d-nn %s graph from features",
-                graph_path.name, knn_k, knn_metric,
+                "no %s; building a %d-nn cosine graph from features",
+                graph_path.name, knn_k,
             )
-            g = knn_graph(x, knn_k, metric=knn_metric)
+            g = knn_graph(x, knn_k)
         views.append((x, g))
     labels_path = directory / "labels.txt"
     labels = read_labels(labels_path, n) if labels_path.is_file() else None

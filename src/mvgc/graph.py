@@ -82,15 +82,13 @@ def add_self_loops(g):
 
 
 def row_normalize(g):
-    """Divide each row by its sum.  Accepts a Graph or a nonnegative array
-    and returns the dense row-stochastic array.
+    """Divide each row of a Graph's adjacency by its sum, and return the dense
+    row-stochastic array.
 
-    A row summing to zero cannot happen once self-loops are in place; for
-    relaxed inputs it is left as zeros and flagged with a warning.
+    A row summing to zero cannot happen once self-loops are in place; without
+    them it is left as zeros and flagged with a warning.
     """
-    values = g.adj.toarray() if isinstance(g, Graph) else np.asarray(g, dtype=np.float64)
-    if (values < 0).any():
-        raise ValueError("row_normalize expects nonnegative entries")
+    values = g.adj.toarray()
     sums = values.sum(axis=1, keepdims=True)
     zero_rows = sums[:, 0] == 0.0
     if zero_rows.any():
@@ -109,8 +107,8 @@ def hamming_distance(g1, g2):
     return int((g1.adj != g2.adj).nnz)
 
 
-def knn_graph(x, k, metric="cosine"):
-    """k-nearest-neighbour graph over the rows of ``x``.
+def knn_graph(x, k):
+    """Cosine k-nearest-neighbour graph over the rows of ``x``.
 
     Each node links to its k nearest other nodes (ties broken by lower node
     index), self-loops are added, and the result is symmetrized by union.
@@ -121,16 +119,9 @@ def knn_graph(x, k, metric="cosine"):
         raise ValueError("k must be positive")
     if k >= n:
         raise ValueError(f"k={k} must be below the node count {n}")
-    if metric == "cosine":
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        unit = x / np.where(norms == 0.0, 1.0, norms)
-        dist = 1.0 - unit @ unit.T
-    elif metric == "euclidean":
-        sq = (x * x).sum(axis=1)
-        dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * x @ x.T, 0.0))
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    unit = x / np.where(norms == 0.0, 1.0, norms)
+    dist = 1.0 - unit @ unit.T
     np.fill_diagonal(dist, np.inf)
     cols = np.broadcast_to(np.arange(n), (n, n))
     # stable order: distance first, then node index

@@ -13,7 +13,7 @@ logistic noise, dropout) then builds the differentiable objective
 where L_r reconstructs the per-view and global features, L_c pulls soft
 assignments toward a sharpened target, and L_E is the evidence bound on the
 consensus-graph posterior.  The belief update itself is never differentiated
-through; beliefs enter the loss as constants refreshed once per epoch.
+through; beliefs, one float per view, are loss constants refreshed each epoch.
 
 Everything that does not depend on the parameters is computed once, outside
 the loss: ``init_state`` message-passes each view's features along its own
@@ -25,12 +25,11 @@ that reads it last.
 """
 
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cluster import (
-    Beliefs,
     clustering_loss,
     fuse,
     kmeans,
@@ -101,7 +100,7 @@ class TrainState:
     encoders: list
     global_decoder: GlobalDecoder
     specific: list
-    beliefs: Beliefs
+    beliefs: tuple
     optimizer: OptimizerState
     epoch: int = 0
 
@@ -126,9 +125,8 @@ class EpochArtifacts:
     from the eval pass."""
 
     kl_bound: float
-    beliefs: Beliefs
+    beliefs: tuple
     pseudo_labels: np.ndarray
-    view_labels: tuple
     view_centroids: tuple
     global_centroids: np.ndarray
 
@@ -143,7 +141,6 @@ class FitResult:
     z_views: list
     consensus: np.ndarray
     inertia: float
-    state: TrainState = field(repr=False, default=None)
 
 
 def init_state(dataset, config):
@@ -172,7 +169,7 @@ def init_state(dataset, config):
             message_pass(x, row_normalize(add_self_loops(g)), config.order).value
             for x, g in dataset.views
         ],
-        beliefs=Beliefs.initial(dataset.num_views, config.rho),
+        beliefs=(1.0,) * dataset.num_views,
         optimizer=None,
     )
     state.optimizer = OptimizerState(state.parameters(), lr=config.lr)
@@ -238,11 +235,10 @@ def prepare_epoch(state, dataset, config):
     )
     return EpochArtifacts(
         kl_bound=kl_upper_bound(
-            compute_prior_beta(dataset.graphs, state.beliefs.b)
+            compute_prior_beta(dataset.graphs, state.beliefs)
         ),
         beliefs=beliefs,
         pseudo_labels=pseudo.labels,
-        view_labels=tuple(r.labels for r in view_results),
         view_centroids=tuple(r.centroids for r in view_results),
         global_centroids=global_result.centroids,
     )
@@ -279,7 +275,7 @@ def build_loss(state, dataset, config, artifacts, p_global=None):
     ]
     q_global = soft_assignment(zbar, artifacts.global_centroids)
     if p_global is None:
-        p_global = target_distribution(q_global.q.value)
+        p_global = target_distribution(q_global.value)
     l_c = clustering_loss(p_global, q_views, q_global)
 
     total = l_r + config.gamma_c * l_c - config.gamma_e * l_e
@@ -310,7 +306,7 @@ def train_epoch(state, dataset, config):
     adam_step(state.optimizer)
     state.beliefs = artifacts.beliefs
     state.epoch += 1
-    report["beliefs"] = artifacts.beliefs.b
+    report["beliefs"] = artifacts.beliefs
     report["pseudo_labels"] = artifacts.pseudo_labels
     return report
 
@@ -377,7 +373,7 @@ def fit(dataset, config, callback=None):
     """
     _keep_freed_heap()
     state = init_state(dataset, config)
-    beliefs_history = [state.beliefs.b]
+    beliefs_history = [state.beliefs]
     loss_history = []
     for epoch in range(config.epochs):
         report = train_epoch(state, dataset, config)
@@ -405,5 +401,4 @@ def fit(dataset, config, callback=None):
         z_views=z_views,
         consensus=consensus,
         inertia=final.inertia,
-        state=state,
     )

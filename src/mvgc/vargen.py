@@ -88,19 +88,16 @@ def compute_prior_beta(graphs, beliefs, eps=1e-6):
     b = np.asarray(beliefs, dtype=np.float64)
     if (b <= 0).any() or (b > 1).any():
         raise ValueError("beliefs must lie in (0, 1]")
-    total = b.sum()
-    if total == 0.0:
-        raise ValueError("all beliefs are zero")
-    votes = None
-    for g, bv in zip(graphs, b):
-        vote = np.full((n, n), 1.0 - bv)
-        vote.reshape(-1)[np.ravel_multi_index(g.edges(), (n, n))] = bv
-        if votes is None:
-            votes = vote
-        else:
-            votes += vote
-        del vote
-    votes /= total
+
+    def vote(g, bv):
+        dense = np.full((n, n), 1.0 - bv)
+        dense.reshape(-1)[np.ravel_multi_index(g.edges(), (n, n))] = bv
+        return dense
+
+    votes = vote(graphs[0], b[0])
+    for g, bv in zip(graphs[1:], b[1:]):
+        votes += vote(g, bv)
+    votes /= b.sum()
     return np.clip(votes, eps, 1.0, out=votes)
 
 
@@ -140,9 +137,10 @@ def sample_consensus(k, q, tau, noise=None):
     reaches the tape.  The node keeps the clipped sample, the boolean mask
     of unclipped entries and a copy of Q^T.  Where the mask holds, the
     clipped value equals the sigmoid, so the gradient G of alpha reads the
-    sigmoid derivative from the sample.  K and Q get G Q and (K^T G)^T as
-    two pairs in that order, as the matmul and transpose nodes of
-    K @ Q.T return them, so they round exactly as those nodes do.
+    sigmoid derivative from the sample, op by op in one n x n buffer (1 - S
+    a row block at a time).  K and Q get G Q and (K^T G)^T as two pairs in
+    that order, as the matmul and transpose nodes of K @ Q.T return them, so
+    they round exactly as those nodes do.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -160,7 +158,11 @@ def sample_consensus(k, q, tau, noise=None):
     np.clip(s, _SAMPLE_FLOOR, 1.0 - _SAMPLE_FLOOR, out=s)
 
     def grad_fn(g):
-        g = g * inside * s * (1.0 - s) / tau
+        g = g * inside
+        g *= s
+        for rows in _row_blocks(s.shape):
+            g[rows] *= 1.0 - s[rows]
+        g /= tau
         if tk:
             yield k, g @ qt.T, True
         if tq:
@@ -202,11 +204,6 @@ def kl_upper_bound(beta):
     """Sum of log(1/beta) over all pairs of the prior ``beta``: the
     closed-form bound on the KL divergence from posterior to prior."""
     return float(-np.log(beta).sum())
-
-
-def consensus_entropy(s):
-    """Summed Bernoulli entropy of the relaxed weights."""
-    return bernoulli_entropy(s)
 
 
 def decode_adjacency(z):
@@ -322,7 +319,7 @@ def elbo_loss(graphs, decoded, s, kl_bound):
         del logits
     if next(decoded, None) is not None:
         raise ValueError(f"{len(graphs)} graphs but more decodings")
-    return likelihood + consensus_entropy(s) - kl_bound
+    return likelihood + bernoulli_entropy(s) - kl_bound
 
 
 def view_prior_cross_entropy(graph, beliefs, view):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvgc import trainer
+from mvgc import cli, trainer
 from mvgc.cli import build_parser, format_metrics_line, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -115,6 +115,33 @@ def test_invalid_flag_value_exits_two(tmp_path, capsys):
     assert main(["cluster", str(tmp_path), "--out", str(tmp_path / "run"),
                  "--tau", "-1"]) == 2
     assert "tau must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--tau", "nan", "tau must be positive and finite"),
+        ("--gamma-c", "inf", "gamma_c and gamma_e must be nonnegative and finite"),
+        ("--rho", "inf", "rho must be nonnegative and finite"),
+        ("--dropout", "nan", "dropout must lie in [0, 1)"),
+        ("--lr", "0", "lr must be positive and finite"),
+        ("--lr", "-1", "lr must be positive and finite"),
+    ],
+)
+def test_non_finite_knob_or_nonpositive_lr_exits_two_before_training(
+    tmp_path, capsys, monkeypatch, flag, value, message
+):
+    data = synth(tmp_path)
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "fit", no_training)
+    assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
+                 flag, value]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_out_of_range_config_value_exits_two(tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvgc.cluster import (
-    Beliefs,
     ClusterResult,
     clustering_loss,
     fuse,
@@ -202,7 +201,7 @@ def test_kmeans_with_more_clusters_than_distinct_rows_stays_finite():
 def test_fuse_scales_each_view_by_its_belief():
     z0 = np.ones((3, 2))
     z1 = np.full((3, 2), 2.0)
-    fused = fuse([z0, z1], Beliefs(b=(1.0, 0.5), rho=1.0))
+    fused = fuse([z0, z1], (1.0, 0.5))
     assert np.allclose(fused[:, :2], 1.0)
     assert np.allclose(fused[:, 2:], 1.0)
 
@@ -336,14 +335,14 @@ def test_soft_assignment_node_matches_the_primitive_chain_bit_for_bit(
         backward(loss)
         return loss.value, z.grad, w.grad
 
-    fused = run(lambda z, cen: soft_assignment(z, cen).q, fuse)
+    fused = run(soft_assignment, fuse)
     primitive = run(_primitive_soft_assignment, _primitive_fuse)
     assert all(_same_bits(x, y) for x, y in zip(fused, primitive))
 
 
 def test_soft_assignment_keeps_no_copy_of_z_shape():
     z = Parameter(np.random.default_rng(9).normal(size=(5, 3)))
-    q = soft_assignment(z, np.zeros((2, 3))).q
+    q = soft_assignment(z, np.zeros((2, 3)))
     held = [cell.cell_contents for cell in q._grad_fn.__closure__]
     shaped = [obj for obj in held if isinstance(obj, np.ndarray) and obj.shape == (5, 3)]
     assert q._parents == (z,)
@@ -355,35 +354,35 @@ def test_update_beliefs_normalizes_by_the_best_view():
     aligned = pseudo.copy()
     scrambled = np.array([0, 1, 0, 1, 0, 1])
     beliefs = update_beliefs(pseudo, [aligned, scrambled], rho=1.0)
-    assert beliefs.b[0] == pytest.approx(1.0)
-    assert beliefs.b[1] == pytest.approx(nmi(pseudo, scrambled))
+    assert beliefs[0] == pytest.approx(1.0)
+    assert beliefs[1] == pytest.approx(nmi(pseudo, scrambled))
 
 
 def test_update_beliefs_rho_zero_trusts_everything():
     pseudo = np.array([0, 0, 1, 1])
     beliefs = update_beliefs(pseudo, [pseudo, np.array([0, 1, 0, 1])], rho=0.0)
-    assert beliefs.b == (1.0, 1.0)
+    assert beliefs == (1.0, 1.0)
 
 
 def test_update_beliefs_large_rho_binarizes():
     pseudo = np.array([0, 0, 1, 1, 2, 2])
     noisy = np.array([0, 0, 1, 2, 2, 1])
     beliefs = update_beliefs(pseudo, [pseudo, noisy], rho=200.0)
-    assert beliefs.b[0] == 1.0
-    assert beliefs.b[1] < 1e-6
+    assert beliefs[0] == 1.0
+    assert beliefs[1] < 1e-6
 
 
 def test_update_beliefs_all_zero_scores_fall_back_to_ones():
     pseudo = np.array([0, 0, 1, 1])
     constant = np.zeros(4, dtype=int)
     beliefs = update_beliefs(pseudo, [constant, constant], rho=1.0)
-    assert beliefs.b == (1.0, 1.0)
+    assert beliefs == (1.0, 1.0)
 
 
 def test_update_beliefs_floors_vanishing_scores():
     pseudo = np.array([0, 0, 1, 1])
     beliefs = update_beliefs(pseudo, [pseudo, np.zeros(4, dtype=int)], rho=1.0)
-    assert beliefs.b[1] >= 1e-12
+    assert beliefs[1] >= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -393,25 +392,25 @@ def test_update_beliefs_keeps_values_in_unit_interval(seed, rho):
     pseudo = rng.integers(0, 3, size=12)
     views = [rng.integers(0, 3, size=12) for _ in range(3)]
     beliefs = update_beliefs(pseudo, views, rho)
-    assert all(0.0 < b <= 1.0 for b in beliefs.b)
-    assert max(beliefs.b) == pytest.approx(1.0)
+    assert all(0.0 < b <= 1.0 for b in beliefs)
+    assert max(beliefs) == pytest.approx(1.0)
 
 
 def test_soft_assignment_single_centroid_is_all_ones():
     z = np.random.default_rng(7).normal(size=(4, 2))
-    q = soft_assignment(z, z.mean(axis=0, keepdims=True)).q.value
+    q = soft_assignment(z, z.mean(axis=0, keepdims=True)).value
     assert np.allclose(q, 1.0)
 
 
 def test_soft_assignment_splits_equidistant_points_evenly():
     centroids = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    q = soft_assignment(np.array([[0.0, 0.0]]), centroids).q.value
+    q = soft_assignment(np.array([[0.0, 0.0]]), centroids).value
     assert np.allclose(q, 0.5)
 
 
 def test_soft_assignment_weights_follow_inverse_distance_kernel():
     centroids = np.array([[0.0], [1.0]])
-    q = soft_assignment(np.array([[0.0]]), centroids).q.value
+    q = soft_assignment(np.array([[0.0]]), centroids).value
     # kernel 1 against kernel 1/2
     assert np.allclose(q, [[2.0 / 3.0, 1.0 / 3.0]])
 

@@ -48,19 +48,19 @@ def test_run_config_defaults_are_usable():
         {"embed_dim": 0},
         {"knn_k": 0},
         {"restarts": 0},
+        {"lr": 0.0},
+        {"lr": -1.0},
+        {"tau": float("nan")},
+        {"tau": float("inf")},
+        {"gamma_c": float("inf")},
+        {"gamma_e": float("nan")},
+        {"rho": float("inf")},
+        {"lr": float("inf")},
     ],
 )
 def test_run_config_rejects_out_of_range_values(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
-
-
-def test_with_overrides_returns_validated_copy():
-    config = RunConfig().with_overrides(tau=2.0, epochs=5)
-    assert config.tau == 2.0 and config.epochs == 5
-    assert RunConfig().tau == 5.0
-    with pytest.raises(ValueError):
-        RunConfig().with_overrides(tau=-1.0)
 
 
 def test_parse_config_file_reads_typed_overrides(tmp_path):
@@ -97,6 +97,26 @@ def test_parse_config_file_names_file_and_line_on_errors(tmp_path):
 
     with pytest.raises(DatasetError, match=r"cannot read config file .*absent\.conf"):
         parse_config_file(tmp_path / "absent.conf")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("tau=nan", "tau must be positive and finite"),
+        ("gamma_e=inf", "gamma_c and gamma_e must be nonnegative and finite"),
+        ("rho=-inf", "rho must be nonnegative and finite"),
+        ("dropout=nan", r"dropout must lie in \[0, 1\)"),
+        ("lr=0", "lr must be positive and finite"),
+        ("lr=-1", "lr must be positive and finite"),
+    ],
+)
+def test_parse_config_file_names_the_line_of_a_non_finite_knob_or_nonpositive_lr(
+    tmp_path, line, message
+):
+    path = tmp_path / "run.conf"
+    path.write_text(f"epochs=3\n{line}\n")
+    with pytest.raises(DatasetError, match=rf"run\.conf line 2: {message}$"):
+        parse_config_file(path)
 
 
 def test_min_max_scale_maps_columns_onto_unit_interval():
@@ -219,7 +239,7 @@ def test_load_builds_knn_graph_when_edge_file_is_missing(tmp_path):
     (root / "meta").write_text("n=9\nV=1\nc=2\n")
     np.savetxt(root / "features_v1.csv", x, fmt="%.17g", delimiter=",")
     loaded = load_dataset(root, knn_k=3)
-    expected = knn_graph(min_max_scale(x), 3, metric="cosine")
+    expected = knn_graph(min_max_scale(x), 3)
     assert np.array_equal(loaded.graphs[0].adj.toarray(), expected.adj.toarray())
 
 
@@ -454,7 +474,7 @@ def test_mutated_dataset_directories_load_or_raise_dataset_error(mutations, knn_
             dataset = load_dataset(root, knn_k=knn_k)
         except DatasetError:
             return
-        assert all(np.isfinite(x).all() for x in dataset.features)
+        assert all(np.isfinite(x).all() for x, _ in dataset.views)
         assert dataset.labels is None or len(dataset.labels) == dataset.n
 
 

@@ -23,6 +23,13 @@ def ring_norm(n):
     return row_normalize(add_self_loops(Graph(adj)))
 
 
+def tilted_norm(n):
+    """A dense row-stochastic consensus that weighs each node's self-edge
+    three times each of its other entries."""
+    weights = np.eye(n) + 0.5
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
 def test_message_pass_order_zero_doubles_the_features():
     x = np.random.default_rng(0).uniform(size=(6, 3))
     out = message_pass(Tensor(x), ring_norm(6), order=0)
@@ -67,7 +74,7 @@ def test_encode_view_compresses_both_graph_routes_through_f():
     n, d_v = 6, 3
     x = np.random.default_rng(8).uniform(size=(n, d_v))
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=4, seed=5)
-    s_norm = Tensor(row_normalize(np.eye(n) + 0.5))
+    s_norm = Tensor(tilted_norm(n))
     specific = message_pass(x, ring_norm(n), 2).value
     both = concat([specific, message_pass(x, s_norm, 2)], axis=1)
     expected = mlp_apply(enc.f_params, enc.f_spec, both).value
@@ -82,7 +89,7 @@ def test_encode_view_feeds_both_graph_routes():
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=4, seed=1)
     specific = message_pass(x, ring_norm(n), 2).value
     uniform = Tensor(np.full((n, n), 1.0 / n))
-    tilted = Tensor(row_normalize(np.eye(n) + 0.5))
+    tilted = Tensor(tilted_norm(n))
     z_uniform = encode_view(x, specific, uniform, enc, order=2)
     z_tilted = encode_view(x, specific, tilted, enc, order=2)
     # a different consensus graph must move the embedding

@@ -36,16 +36,12 @@ def _dense_load_edges(lines, n, directed):
     return adj
 
 
-def _dense_knn(x, k, metric):
+def _dense_knn(x, k):
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    if metric == "cosine":
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        unit = x / np.where(norms == 0.0, 1.0, norms)
-        dist = 1.0 - unit @ unit.T
-    else:
-        sq = (x * x).sum(axis=1)
-        dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * x @ x.T, 0.0))
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    unit = x / np.where(norms == 0.0, 1.0, norms)
+    dist = 1.0 - unit @ unit.T
     np.fill_diagonal(dist, np.inf)
     adj = np.zeros((n, n))
     cols = np.broadcast_to(np.arange(n), (n, n))
@@ -133,16 +129,16 @@ def test_loaded_edges_match_the_dense_loader(n_lines, directed, spelling):
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 3),
-    st.sampled_from(["cosine", "euclidean"]), st.booleans(), st.data(),
+    st.booleans(), st.data(),
 )
-def test_knn_graph_matches_the_dense_builder(seed, n, d, metric, ties, data):
+def test_knn_graph_matches_the_dense_builder(seed, n, d, ties, data):
     rng = np.random.default_rng(seed)
     # small integer features repeat points and distances, so ties abound
     x = rng.integers(0, 3, size=(n, d)) if ties else rng.normal(size=(n, d))
     k = data.draw(st.integers(1, n - 1))
-    g = knn_graph(x, k, metric=metric)
+    g = knn_graph(x, k)
     assert g.adj.has_canonical_format and (g.adj.data == 1.0).all()
-    assert np.array_equal(g.adj.toarray(), _dense_knn(x, k, metric))
+    assert np.array_equal(g.adj.toarray(), _dense_knn(x, k))
 
 
 @settings(max_examples=60, deadline=None)

@@ -58,7 +58,7 @@ def test_derived_seed_is_stable_and_slot_specific():
 def test_init_state_wires_every_parameter_group():
     dataset = toy_dataset()
     state = init_state(dataset, toy_config())
-    assert state.beliefs.b == (1.0, 1.0)
+    assert state.beliefs == (1.0, 1.0)
     assert state.epoch == 0
     params = state.parameters()
     assert len(params) == len(state.optimizer.params)

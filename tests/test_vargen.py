@@ -12,6 +12,7 @@ from mvgc.nncore import (
     Parameter,
     Tensor,
     backward,
+    bernoulli_entropy,
     binary_cross_entropy,
     grad_check,
 )
@@ -20,7 +21,6 @@ from mvgc.vargen import (
     PosteriorNet,
     adjacency_nll,
     compute_prior_beta,
-    consensus_entropy,
     decode_adjacency,
     elbo_loss,
     infer_posterior,
@@ -185,7 +185,7 @@ def test_elbo_composes_reconstruction_entropy_and_bound():
     manual = (
         -sum(binary_cross_entropy(g.adj.toarray(), d.sigmoid()).value
              for g, d in zip(graphs, decoded))
-        + consensus_entropy(sample).value
+        + bernoulli_entropy(sample).value
         - kl_upper_bound(prior)
     )
     assert got == pytest.approx(manual)
@@ -313,6 +313,27 @@ def test_sample_node_matches_the_primitive_chain_bit_for_bit(
     assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
 
 
+@pytest.mark.parametrize("block", [7, 21])
+def test_sample_node_backward_in_row_blocks_matches_the_primitive_chain(block):
+    # the backward forms 1 - S a row block at a time: one row, then three
+    # rows with a shorter last block; scale 20 saturates some entries
+    rng = np.random.default_rng(23)
+    k0, q0 = rng.normal(scale=20.0, size=(2, 7, 3))
+    weight = rng.normal(size=(7, 7))
+
+    def run(sample):
+        k, q = Parameter(k0.copy()), Parameter(q0.copy())
+        out = sample(k, q, 0.7)
+        backward((out * weight).sum())
+        return out.value, k.grad, q.grad
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor, "_BLOCK_ENTRIES", block)
+        fused = run(sample_consensus)
+    primitive = run(_primitive_sample)
+    assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 5),
@@ -369,9 +390,9 @@ def test_normalize_node_matches_the_primitive_chain_bit_for_bit(
         norm = normalize(s)
         loss = ((norm.T if transposed else norm) @ x).sum() * 0.5
         if entropy == "before":
-            loss = consensus_entropy(s) + loss
+            loss = bernoulli_entropy(s) + loss
         elif entropy == "after":
-            loss = loss + consensus_entropy(s)
+            loss = loss + bernoulli_entropy(s)
         backward(loss)
         return norm.value, s.grad
 
