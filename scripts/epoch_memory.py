@@ -21,8 +21,11 @@ The epoch is split into phases by wrapping, at run time, the names that
 Each time the phase changes, the traced peak since the last change is
 credited to the phase that was running, and the peak is reset.  The script
 prints each phase's peak in MB, in the order the phases first ran, then the
-phase that set the epoch's peak, and the traced memory that ``build_loss``
-left allocated (the tape and the loss terms).
+phase that set the epoch's peak, the traced memory that ``build_loss`` left
+allocated (the tape and the loss terms), and ``state_mb``: the bytes the
+training state holds between epochs (parameter values, gradients, Adam
+moments and optimizer scratch), which are allocated before tracing starts
+and so appear in no phase.
 
 The wrapper around a gradient function keeps the node's incoming gradient
 until the node's last pair is taken, as a generator gradient function does
@@ -34,6 +37,8 @@ import argparse
 import sys
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 MB = float(1 << 20)
 # stages of build_loss, as mvgc.trainer names them
@@ -146,8 +151,25 @@ def install(phases):
     tensor.Tensor.backward = phases.wrap(tensor.Tensor.backward, "backward")
 
 
+def state_bytes(state):
+    """Bytes of every buffer behind the parameters' values and gradients and
+    the arrays the optimizer keeps, flat or one per parameter; a buffer
+    that several views share counts once."""
+    arrays = [a for p in state.parameters() for a in (p.value, p.grad)]
+    for held in vars(state.optimizer).values():
+        arrays.extend(a for a in (held if isinstance(held, list) else [held])
+                      if isinstance(a, np.ndarray))
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a.nbytes
+    return sum(owners.values())
+
+
 def trace_epoch(n, views):
-    """Fit one untraced epoch, trace the second; returns the phases."""
+    """Fit one untraced epoch, trace the second; returns the phases and the
+    state's bytes after it."""
     from mvgc import trainer
     from mvgc.dataio import RunConfig, generate_sbm
 
@@ -164,7 +186,7 @@ def trace_epoch(n, views):
         phases.credit()
     finally:
         tracemalloc.stop()
-    return phases
+    return phases, state_bytes(state)
 
 
 def main(argv=None):
@@ -179,13 +201,14 @@ def main(argv=None):
     if args.n < 4 or args.views < 1:
         parser.error("need --n of at least 4 (c=4) and --views of at least 1")
     sys.path.insert(0, str(args.src.resolve() / "src"))
-    phases = trace_epoch(args.n, args.views)
+    phases, held = trace_epoch(args.n, args.views)
     print(f"n={args.n} views={args.views} epoch=1")
     for label, peak in phases.peaks.items():
         print(f"{label}\t{peak / MB:.1f}")
     top = max(phases.peaks, key=phases.peaks.get)
     print(f"epoch_peak_mb\t{phases.peaks[top] / MB:.1f}\t{top}")
     print(f"tape_after_build_loss_mb\t{phases.tape_bytes / MB:.1f}")
+    print(f"state_mb\t{held / MB:.1f}")
     return 0
 
 

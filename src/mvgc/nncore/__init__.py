@@ -1,5 +1,10 @@
 """Deterministic differentiable-numerics substrate: tensors with reverse-mode
-gradients, MLPs with dropout, seeded init, adaptive-moment updates."""
+gradients, MLPs with dropout, seeded init, adaptive-moment updates.
+
+An ``OptimizerState`` keeps its parameters' values and gradients in one flat
+store, each ``Parameter.value`` and ``.grad`` a view of it.  Code that holds
+the optimizer writes those arrays in place and never rebinds them.
+"""
 
 from .tensor import (
     Parameter,
@@ -9,10 +14,9 @@ from .tensor import (
     binary_cross_entropy,
     concat,
     no_grad,
-    zero_grads,
 )
 from .mlp import MLPSpec, dropout, init_params, mlp_apply
-from .optim import OptimizerState, adam_step
+from .optim import OptimizerState, adam_step, zero_grads
 from .gradcheck import grad_check
 
 __all__ = [

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from .tensor import backward, zero_grads
+from .optim import zero_grads
+from .tensor import backward
 
 
 def grad_check(loss_fn, params, h=1e-5, max_entries=64, rng=None):

@@ -96,13 +96,15 @@ def _layer(h, w, b, activation, rate, rng):
     dropout when ``rng`` is given.
 
     The node keeps the output and the boolean keep mask, an eighth of the
-    float multiplier's bytes; forward and backward both scale by the
-    multiplier formed from it.  The relu derivative is read from the
-    output: out > 0 exactly where the pre-activation is,
-    except where dropout zeroed the entry, and there the masked gradient is
-    already a signed zero that either factor keeps.  The sigmoid derivative
-    is read from the sigmoid values, which are the output unless dropout
-    rescaled them.
+    float multiplier's bytes.  Forward and backward both multiply by the
+    mask, then in place by the scalar 1/(1-rate): bit for bit the product
+    with the multiplier ``keep / (1 - rate)``, since multiplying by a boolean
+    is exact and the multiplier's kept entries are that rounded scalar.
+    The relu derivative is read from the output: out > 0 exactly where the
+    pre-activation is, except where dropout zeroed the entry, and there the
+    masked gradient is already a signed zero that either factor keeps.  The
+    sigmoid derivative is read from the sigmoid values, which are the output
+    unless dropout rescaled them.
     """
     y = h.value @ w.value
     y += b.value
@@ -110,11 +112,11 @@ def _layer(h, w, b, activation, rate, rng):
         np.maximum(y, 0.0, out=y)
     elif activation == "sigmoid":
         special.expit(y, out=y)
-    act, keep = y, None
+    act, keep, scale = y, None, 1.0 / (1.0 - rate)
     if rng is not None:
         keep = _keep_mask(y.shape, rate, rng)
-        mask = _inverted(keep, rate)
-        y = act * mask if activation == "sigmoid" else np.multiply(act, mask, out=act)
+        y = act * keep if activation == "sigmoid" else np.multiply(act, keep, out=act)
+        y *= scale
     out = Tensor(y)
     th, tw, tb = _tracked(h), _tracked(w), _tracked(b)
     if not (th or tw or tb):
@@ -122,7 +124,8 @@ def _layer(h, w, b, activation, rate, rng):
 
     def grad_fn(g):
         if keep is not None:
-            g = g * _inverted(keep, rate)
+            g = g * keep
+            g *= scale
         if activation == "relu":
             g = g * (y > 0)
         elif activation == "sigmoid":

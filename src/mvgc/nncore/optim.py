@@ -1,11 +1,27 @@
-"""Adaptive-moment optimizer over Parameter lists."""
+"""Adaptive-moment optimizer over one flat parameter store.
+
+``OptimizerState`` moves its parameters into four flat float64 buffers:
+``values`` and ``grads``, and the moments ``m`` and ``v``.  Each
+``Parameter.value`` and ``.grad`` becomes a view of its slice, in the order
+of the parameter list.  From then on a parameter's arrays are written in
+place (``p.value[...] = x``, ``p.grad += g``), never rebound: ``adam_step``
+raises ``RuntimeError`` on a rebound array rather than step a store the
+parameter no longer reads.
+
+``adam_step`` walks the flat buffers one block of ``_BLOCK_ENTRIES`` entries
+at a time with one block of scratch, so a block's arrays stay in cache.
+Every op is elementwise, so the update is bit for bit that of a loop over
+the parameters.
+"""
 
 import numpy as np
 
+from .tensor import _BLOCK_ENTRIES
+
 
 class OptimizerState:
-    """First/second moment accumulators plus step counter for a fixed
-    parameter list."""
+    """The flat store of a fixed parameter list, its first/second moment
+    accumulators, the step counter and one block of scratch."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -14,20 +30,51 @@ class OptimizerState:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
-        # reusable per-parameter workspace; adam_step stays allocation-free
-        self._scratch = [np.empty_like(p.value) for p in self.params]
+        total = sum(p.value.size for p in self.params)
+        self.values = np.empty(total)
+        self.grads = np.empty(total)
+        start = 0
+        for p in self.params:
+            stop = start + p.value.size
+            value = self.values[start:stop].reshape(p.value.shape)
+            grad = self.grads[start:stop].reshape(p.value.shape)
+            value[...] = p.value
+            grad[...] = p.grad
+            # rebinding frees the parameter's own arrays
+            p.value, p.grad = value, grad
+            start = stop
+        # allocated after those arrays are freed, so the heap can hand their
+        # memory to the moments rather than keep it as holes
+        self.m = np.zeros(total)
+        self.v = np.zeros(total)
+        # one block of workspace; adam_step stays allocation-free
+        self._scratch = np.empty(max(1, min(_BLOCK_ENTRIES, total)))
+
+
+def _check_attached(state):
+    """Raise ``RuntimeError`` if a parameter's value or gradient was rebound
+    to an array outside the store."""
+    for i, p in enumerate(state.params):
+        if p.value.base is not state.values or p.grad.base is not state.grads:
+            raise RuntimeError(
+                f"adam_step: parameter {i} {p.value.shape} no longer shares "
+                "the optimizer's store; write its value and grad in place "
+                "instead of rebinding them"
+            )
 
 
 def adam_step(state):
     """One bias-corrected adaptive-moment update from accumulated grads."""
+    _check_attached(state)
     state.step += 1
     t = state.step
     correct1 = 1.0 - state.beta1 ** t
     correct2 = 1.0 - state.beta2 ** t
-    for p, m, v, scratch in zip(state.params, state.m, state.v, state._scratch):
-        g = p.grad
+    block = state._scratch.size
+    for start in range(0, state.values.size, block):
+        part = slice(start, start + block)
+        g, m, v = state.grads[part], state.m[part], state.v[part]
+        scratch = state._scratch[:g.size]
         m *= state.beta1
         np.multiply(g, 1.0 - state.beta1, out=scratch)
         m += scratch
@@ -41,4 +88,14 @@ def adam_step(state):
         scratch += state.eps
         np.divide(m, scratch, out=scratch)
         scratch *= state.lr / correct1
-        p.value -= scratch
+        state.values[part] -= scratch
+
+
+def zero_grads(params):
+    """Zero gradients: an ``OptimizerState``'s whole flat buffer in one
+    fill, or each Parameter of a list in turn."""
+    if isinstance(params, OptimizerState):
+        params.grads.fill(0.0)
+        return
+    for p in params:
+        p.zero_grad()

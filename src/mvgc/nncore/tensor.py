@@ -166,18 +166,19 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf: value plus an accumulated gradient of the same shape."""
+    """Trainable leaf: value plus an accumulated gradient of the same shape.
+
+    An ``OptimizerState`` built over a parameter turns its ``value`` and
+    ``grad`` into views of the optimizer's flat store.  Write them in place
+    (``p.value[...] = x``; ``backward`` adds into ``p.grad``), never rebind
+    them: a rebound array is no longer the one the optimizer steps.
+    """
 
     def __init__(self, value):
         super().__init__(value, requires_grad=True)
 
     def zero_grad(self):
         self.grad[...] = 0.0
-
-
-def zero_grads(params):
-    for p in params:
-        p.zero_grad()
 
 
 def _wrap(x):
@@ -490,7 +491,8 @@ def _consumed(g):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) into every reachable Parameter's ``.grad``.
+    """Accumulate d(loss)/d(leaf) in place into every reachable Parameter's
+    ``.grad``.
 
     The loss must be scalar.  Gradients add up across backward calls on
     separately built losses until ``zero_grad``.  The walk consumes the tape:

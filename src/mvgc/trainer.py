@@ -93,8 +93,11 @@ def derived_seed(seed, epoch, purpose, view=None):
 @dataclass
 class TrainState:
     """Everything that persists across epochs: parameter groups, beliefs,
-    optimizer moments, and ``specific``, each view's features message-passed
-    along its own normalized graph (an n x d_v array, constant for the fit)."""
+    the optimizer, and ``specific``, each view's features message-passed
+    along its own normalized graph (an n x d_v array, constant for the fit).
+
+    The optimizer holds every parameter's value and gradient in its flat
+    store, in ``parameters()`` order."""
 
     posterior: PosteriorNet
     encoders: list
@@ -300,7 +303,7 @@ def train_epoch(state, dataset, config):
                 f"epoch {state.epoch}: loss term {name!r} is {value}"
             )
         report[name] = value
-    zero_grads(state.parameters())
+    zero_grads(state.optimizer)
     total.backward()
     _check_gradients(state)
     adam_step(state.optimizer)
@@ -315,16 +318,17 @@ def _check_gradients(state):
     """Raise ``TrainingError`` naming the epoch and parameter group of the
     first non-finite gradient, before Adam spreads it into every moment.
 
-    One squared norm per gradient: a finite norm proves every entry finite,
-    and only a non-finite one (possibly an overflow of finite entries) is
-    checked entry by entry."""
+    One squared norm of the optimizer's flat gradient: a finite norm proves
+    every entry finite.  Only a non-finite one (possibly an overflow of
+    finite entries) scans the groups entry by entry."""
+    g = state.optimizer.grads
+    if np.isfinite(np.vdot(g, g)):
+        return
     for name, params in state.parameter_groups():
-        for p in params:
-            g = p.grad
-            if not np.isfinite(np.vdot(g, g)) and not np.isfinite(g).all():
-                raise TrainingError(
-                    f"epoch {state.epoch}: {name} gradient is not finite"
-                )
+        if not all(np.isfinite(p.grad).all() for p in params):
+            raise TrainingError(
+                f"epoch {state.epoch}: {name} gradient is not finite"
+            )
 
 
 # glibc's mallopt parameter numbers, the freed heap kept at the top, and

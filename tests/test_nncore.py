@@ -25,7 +25,7 @@ from mvgc.nncore import (
     no_grad,
     zero_grads,
 )
-from mvgc.nncore import tensor
+from mvgc.nncore import optim, tensor
 from mvgc.nncore.tensor import _consumed, _record, _tracked, _wrap, tensor_sum
 
 
@@ -211,9 +211,96 @@ def test_adam_matches_reference_updates():
     p = Parameter(start.copy())
     state = OptimizerState([p], lr=1e-3)
     for g in grads:
-        p.grad = g.copy()
+        p.grad[...] = g
         adam_step(state)
     assert np.allclose(p.value, _naive_adam(start, grads), atol=1e-12)
+
+
+@pytest.mark.parametrize("rebound", ["value", "grad"])
+def test_adam_refuses_a_parameter_rebound_away_from_the_store(rebound):
+    first, second = Parameter(np.ones((2, 3))), Parameter(np.ones(4))
+    state = OptimizerState([first, second], lr=0.1)
+    zero_grads(state)
+    second.grad += 1.0
+    setattr(second, rebound, getattr(second, rebound).copy())
+    before = state.values.copy()
+    with pytest.raises(RuntimeError, match="parameter 1 .* no longer shares"):
+        adam_step(state)
+    assert state.step == 0
+    assert np.array_equal(state.values, before)
+
+
+def _per_parameter_adam(values, grads, steps, lr, beta1=0.9, beta2=0.999,
+                        eps=1e-8):
+    """The update loop over separate arrays, one per parameter, op by op as
+    it ran before the flat store; the oracle for the blockwise step."""
+    values = [v.copy() for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    for t in range(1, steps + 1):
+        correct1 = 1.0 - beta1 ** t
+        correct2 = 1.0 - beta2 ** t
+        for value, g, mom, sq in zip(values, grads[t - 1], m, v2):
+            scratch = np.empty_like(value)
+            mom *= beta1
+            np.multiply(g, 1.0 - beta1, out=scratch)
+            mom += scratch
+            sq *= beta2
+            np.multiply(g, g, out=scratch)
+            scratch *= 1.0 - beta2
+            sq += scratch
+            np.divide(sq, correct2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += eps
+            np.divide(mom, scratch, out=scratch)
+            scratch *= lr / correct1
+            value -= scratch
+    return values, m, v2
+
+
+def test_blockwise_adam_matches_the_per_parameter_loop_bit_for_bit(monkeypatch):
+    # blocks of 100_003 entries put two boundaries inside the 512 x 512
+    # weight, which starts 20 entries into the store, and none on a row
+    monkeypatch.setattr(optim, "_BLOCK_ENTRIES", 100_003)
+    rng = np.random.default_rng(5)
+    shapes = [(4, 5), (512, 512), (1, 512), (7,), (3, 1)]
+    start = [rng.normal(size=shape) for shape in shapes]
+    grads = [[rng.normal(scale=10.0 ** rng.integers(-6, 4), size=shape)
+              for shape in shapes] for _ in range(3)]
+    grads[1][1][0, :3] = 0.0
+
+    params = [Parameter(v.copy()) for v in start]
+    state = OptimizerState(params, lr=0.01)
+    assert state._scratch.size == 100_003
+    for step_grads in grads:
+        zero_grads(state)
+        for p, g in zip(params, step_grads):
+            p.grad += g
+        adam_step(state)
+    values, m, v = _per_parameter_adam(start, grads, 3, lr=0.01)
+    offsets = np.cumsum([0] + [a.size for a in start])
+    for i, p in enumerate(params):
+        part = slice(offsets[i], offsets[i + 1])
+        assert _same_bits(p.value, values[i])
+        assert _same_bits(state.m[part], m[i].ravel())
+        assert _same_bits(state.v[part], v[i].ravel())
+
+
+def test_the_store_holds_values_and_grads_in_list_order():
+    rng = np.random.default_rng(8)
+    params = [Parameter(rng.normal(size=shape)) for shape in [(3, 2), (1, 2), (5,)]]
+    start = [p.value.copy() for p in params]
+    params[2].grad[...] = 4.0
+    state = OptimizerState(params)
+    assert _same_bits(state.values, np.concatenate([v.ravel() for v in start]))
+    assert _same_bits(state.grads, np.r_[np.zeros(8), np.full(5, 4.0)])
+    for p in params:
+        assert np.shares_memory(p.value, state.values)
+        assert np.shares_memory(p.grad, state.grads)
+    params[0].value[0, 0] = 9.0
+    assert state.values[0] == 9.0
+    zero_grads(state)
+    assert not state.grads.any() and not params[2].grad.any()
 
 
 def test_adam_descends_a_quadratic():

@@ -71,6 +71,51 @@ def test_init_state_wires_every_parameter_group():
         assert np.allclose(specific, 2.0 * x + a @ x + a @ (a @ x))
 
 
+def _assert_parameters_view_the_store(state):
+    """Each parameter's value and grad is the slice of the optimizer's flat
+    buffers at its place in ``parameters()`` order."""
+    opt = state.optimizer
+    start = 0
+    for p in state.parameters():
+        stop = start + p.value.size
+        for array, store in ((p.value, opt.values), (p.grad, opt.grads)):
+            assert array.base is store
+            assert array.ctypes.data == store[start:stop].ctypes.data
+            assert array.shape == p.value.shape
+        start = stop
+    assert start == opt.values.size == opt.grads.size == opt.m.size == opt.v.size
+
+
+def test_the_criterion_5_model_lives_in_one_flat_store():
+    dataset = generate_sbm(n=200, c=4, V=2, p_in=0.25, p_out=0.01,
+                           feature_noise=0.3, seed=0)
+    config = RunConfig(seed=0, epochs=1)
+    state = init_state(dataset, config)
+    assert len(state.parameters()) == 25
+    assert state.optimizer.values.size > 1_900_000
+    _assert_parameters_view_the_store(state)
+    train_epoch(state, dataset, config)
+    _assert_parameters_view_the_store(state)
+    assert state.optimizer.step == 1 and state.optimizer.grads.any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_gradients_names_the_epoch_and_group_of_a_bad_entry(bad):
+    state = init_state(toy_dataset(), toy_config())
+    state.epoch = 7
+    names = [name for name, _ in state.parameter_groups()]
+    assert names == ["posterior", "encoder 1", "encoder 2", "global decoder"]
+    for name, params in state.parameter_groups():
+        state.optimizer.grads.fill(0.0)
+        params[-1].grad.flat[-1] = bad
+        with pytest.raises(TrainingError,
+                           match=f"^epoch 7: {name} gradient is not finite$"):
+            trainer._check_gradients(state)
+    # finite entries whose squared norm overflows pass
+    state.optimizer.grads.fill(1e200)
+    trainer._check_gradients(state)
+
+
 def test_train_epoch_reports_finite_losses_and_advances():
     dataset = toy_dataset()
     state = init_state(dataset, toy_config())
