@@ -45,11 +45,12 @@ MB = float(1 << 20)
 FORWARD_STAGES = (
     "infer_posterior", "logistic_noise", "sample_consensus",
     "normalize_consensus", "encode_view", "reconstruction_loss",
-    "reconstruction_loss_global", "decode_adjacency", "elbo_loss", "fuse",
-    "soft_assignment", "target_distribution", "clustering_loss",
+    "reconstruction_loss_global", "decode_adjacency", "adjacency_nll",
+    "elbo_loss", "fuse", "soft_assignment", "target_distribution",
+    "clustering_loss",
 )
-# the likelihood and entropy that elbo_loss calls from mvgc.vargen
-ELBO_STAGES = ("adjacency_nll", "bernoulli_entropy")
+# the entropy that elbo_loss calls from mvgc.vargen
+ELBO_STAGES = ("bernoulli_entropy",)
 
 
 class Phases:
@@ -125,8 +126,10 @@ class Phases:
 
 
 def install(phases):
-    """Wrap the trainer's calls, the vargen stages elbo_loss calls, every
-    mvgc module's ``_record`` and ``Tensor.backward``."""
+    """Wrap the trainer's calls, the vargen stage elbo_loss calls, every
+    mvgc module's ``_record`` and ``Tensor.backward``.  A stage that the
+    tree under ``--src`` does not bind where it is looked up here is left
+    unwrapped, and its memory is credited to the stage that calls it."""
     import mvgc.trainer as trainer
     from mvgc import vargen
     from mvgc.nncore import tensor
@@ -141,8 +144,9 @@ def install(phases):
         setattr(trainer, name, phases.wrap(getattr(trainer, name), label))
     for module, names in ((trainer, FORWARD_STAGES), (vargen, ELBO_STAGES)):
         for name in names:
-            setattr(module, name,
-                    phases.wrap(getattr(module, name), f"forward {name}"))
+            if hasattr(module, name):
+                setattr(module, name,
+                        phases.wrap(getattr(module, name), f"forward {name}"))
     record = tensor._record
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("mvgc")

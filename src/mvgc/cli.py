@@ -66,6 +66,10 @@ def format_metrics_line(metrics):
 
 def _cmd_cluster(args):
     config = _resolve_config(args)
+    if not 0.0 <= args.consensus_threshold <= 1.0:
+        raise DatasetError(
+            f"--consensus-threshold {args.consensus_threshold:g} must lie in [0, 1]"
+        )
     dataset = load_dataset(args.data_dir, knn_k=config.knn_k)
 
     def progress(epoch, report):

@@ -45,33 +45,31 @@ class SbmArgumentError(ValueError):
 
 @dataclass(frozen=True)
 class MultiViewDataset:
-    """V aligned views of (features in [0,1], Graph), their concatenation,
-    and the target cluster count."""
+    """V aligned views of (features in [0,1], Graph), labels, and the target
+    cluster count.  ``x_global``, the views' features side by side in view
+    order, is derived from the views."""
 
     views: tuple
-    x_global: np.ndarray
     labels: object
     c: int
+    x_global: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not self.views:
             raise ValueError("dataset needs at least one view")
         n = self.views[0][0].shape[0]
-        width = 0
         for x, g in self.views:
             if x.shape[0] != n or g.n != n:
                 raise ValueError("views disagree on node count")
             if x.min() < 0.0 or x.max() > 1.0:
                 raise ValueError("features must lie in [0, 1]")
-            width += x.shape[1]
-        if self.x_global.shape != (n, width):
-            raise ValueError(
-                f"global features must be {n}x{width}, got {self.x_global.shape}"
-            )
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count does not match node count")
         if not 1 <= self.c <= n:
             raise ValueError(f"cluster count {self.c} out of range for n={n}")
+        object.__setattr__(
+            self, "x_global", np.concatenate([x for x, _ in self.views], axis=1)
+        )
 
     @property
     def n(self):
@@ -133,15 +131,11 @@ class RunConfig:
 _CONFIG_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
-def parse_config_file(path):
-    """Read a flat key=value config file into typed, range-checked RunConfig
-    overrides."""
-    overrides = {}
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise DatasetError(f"cannot read config file {path}: {err.strerror}") from None
+def _key_value_lines(path, text):
+    """(line number, key, value) of each key=value line of ``text``, read from
+    ``path``; ``#`` starts a comment.  ``DatasetError`` names the file and
+    line of a line without ``=``, or of a key and the line it repeats."""
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -149,6 +143,24 @@ def parse_config_file(path):
         if "=" not in line:
             raise DatasetError(f"{path.name} line {lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise DatasetError(
+                f"{path.name} line {lineno}: key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        yield lineno, key, value
+
+
+def parse_config_file(path):
+    """Read a flat key=value config file into typed, range-checked RunConfig
+    overrides; a repeated key is an error, as in ``meta``."""
+    overrides = {}
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as err:
+        raise DatasetError(f"cannot read config file {path}: {err.strerror}") from None
+    for lineno, key, value in _key_value_lines(path, text):
         if key not in _CONFIG_FIELDS:
             raise DatasetError(f"{path.name} line {lineno}: unknown key {key!r}")
         try:
@@ -175,19 +187,8 @@ def min_max_scale(x):
 def _parse_meta(path):
     if not path.is_file():
         raise DatasetError(f"meta file not found: {path}")
-    entries = {}
-    first_line = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DatasetError(f"meta line {lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in first_line:
-            raise DatasetError(
-                f"meta line {lineno}: key {key!r} repeats line {first_line[key]}"
-            )
+    entries, first_line = {}, {}
+    for lineno, key, value in _key_value_lines(path, path.read_text()):
         first_line[key] = lineno
         entries[key] = value
     for key in ("n", "V", "c"):
@@ -368,8 +369,7 @@ def load_dataset(directory, knn_k=10):
         views.append((x, g))
     labels_path = directory / "labels.txt"
     labels = read_labels(labels_path, n) if labels_path.is_file() else None
-    x_global = np.concatenate([x for x, _ in views], axis=1)
-    return MultiViewDataset(views=tuple(views), x_global=x_global, labels=labels, c=c)
+    return MultiViewDataset(views=tuple(views), labels=labels, c=c)
 
 
 # Cluster-code amplitude relative to feature_noise=0.3 uniform noise.  Kept
@@ -432,8 +432,7 @@ def generate_sbm(n, c, V, p_in, p_out, feature_dim=16, feature_noise=0.3,
         x = np.clip(signal + feature_noise * rng.random((n, feature_dim)), 0.0, 1.0)
         views.append((x, g))
 
-    x_global = np.concatenate([x for x, _ in views], axis=1)
-    return MultiViewDataset(views=tuple(views), x_global=x_global, labels=labels, c=c)
+    return MultiViewDataset(views=tuple(views), labels=labels, c=c)
 
 
 def save_dataset(dataset, directory):

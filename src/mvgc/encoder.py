@@ -104,9 +104,7 @@ def encode_view(x_v, specific_v, s_norm, enc, order):
     along the view's own graph, ``message_pass(x_v, a_norm_v, order)``), and
     compress through f_v."""
     consensus = message_pass(x_v, s_norm, order)
-    return mlp_apply(
-        enc.f_params, enc.f_spec, concat([specific_v, consensus], axis=1)
-    )
+    return mlp_apply(enc.f_params, enc.f_spec, concat([specific_v, consensus]))
 
 
 def _check_unit_interval(x, what):

@@ -12,23 +12,25 @@ parameter no longer reads.
 at a time with one block of scratch, so a block's arrays stay in cache.
 Every op is elementwise, so the update is bit for bit that of a loop over
 the parameters.
+
+The moment decay rates ``BETA1`` and ``BETA2`` and the denominator's ``EPS``
+are the usual constants; only the learning rate is a setting.
 """
 
 import numpy as np
 
 from .tensor import _BLOCK_ENTRIES
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class OptimizerState:
     """The flat store of a fixed parameter list, its first/second moment
     accumulators, the step counter and one block of scratch."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step = 0
         total = sum(p.value.size for p in self.params)
         self.values = np.empty(total)
@@ -68,24 +70,24 @@ def adam_step(state):
     _check_attached(state)
     state.step += 1
     t = state.step
-    correct1 = 1.0 - state.beta1 ** t
-    correct2 = 1.0 - state.beta2 ** t
+    correct1 = 1.0 - BETA1 ** t
+    correct2 = 1.0 - BETA2 ** t
     block = state._scratch.size
     for start in range(0, state.values.size, block):
         part = slice(start, start + block)
         g, m, v = state.grads[part], state.m[part], state.v[part]
         scratch = state._scratch[:g.size]
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=scratch)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=scratch)
         m += scratch
-        v *= state.beta2
+        v *= BETA2
         np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - state.beta2
+        scratch *= 1.0 - BETA2
         v += scratch
         # scratch becomes the update: lr/correct1 * m / (sqrt(v/correct2) + eps)
         np.divide(v, correct2, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += state.eps
+        scratch += EPS
         np.divide(m, scratch, out=scratch)
         scratch *= state.lr / correct1
         state.values[part] -= scratch

@@ -68,23 +68,22 @@ _recording = True
 class Tensor:
     """Dense float64 array plus gradient bookkeeping.
 
-    ``requires_grad`` marks a leaf whose gradient should be accumulated into
-    ``.grad`` by ``backward``.  Interior nodes keep their parents and a
-    gradient closure instead.
+    A plain Tensor is a constant, or an interior node that keeps its parents
+    and a gradient closure.  The only leaf ``backward`` accumulates a
+    gradient into is a ``Parameter``, whose ``requires_grad`` is True.
     """
 
-    __slots__ = (
-        "value", "grad", "requires_grad", "_parents", "_grad_fn", "__weakref__"
-    )
+    __slots__ = ("value", "grad", "_parents", "_grad_fn", "__weakref__")
 
     # keep numpy from elementwise-broadcasting over Tensor operands; binary
     # ops with an ndarray on the left must fall back to our reflected methods
     __array_ufunc__ = None
 
-    def __init__(self, value, requires_grad=False):
+    requires_grad = False
+
+    def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.value) if self.requires_grad else None
+        self.grad = None
         self._parents = ()
         self._grad_fn = None
 
@@ -93,8 +92,7 @@ class Tensor:
         return self.value.shape
 
     def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.value.shape}{flag})"
+        return f"{type(self).__name__}(shape={self.value.shape})"
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -174,8 +172,11 @@ class Parameter(Tensor):
     them: a rebound array is no longer the one the optimizer steps.
     """
 
+    requires_grad = True
+
     def __init__(self, value):
-        super().__init__(value, requires_grad=True)
+        super().__init__(value)
+        self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -403,40 +404,44 @@ def clip(a, low, high):
     return _record(out, (a,), lambda g: ((a, g * inside),))
 
 
-def concat(tensors, axis=1):
+def concat(tensors):
+    """2-d ``tensors`` side by side; each gets its columns of the gradient."""
     tensors = [_wrap(t) for t in tensors]
-    out = Tensor(np.concatenate([t.value for t in tensors], axis=axis))
-    offsets = np.cumsum([0] + [t.value.shape[axis] for t in tensors])
+    out = Tensor(np.concatenate([t.value for t in tensors], axis=1))
+    offsets = np.cumsum([0] + [t.value.shape[1] for t in tensors])
 
     def grad_fn(g):
-        moved = np.moveaxis(g, axis, 0)
         return tuple(
-            (t, np.moveaxis(moved[offsets[i]:offsets[i + 1]], 0, axis).copy())
+            (t, g[:, offsets[i]:offsets[i + 1]].copy())
             for i, t in enumerate(tensors)
         )
 
     return _record(out, tuple(tensors), grad_fn)
 
 
-def binary_cross_entropy(target, prediction, clamp=1e-7):
+# a BCE clamps its probabilities this far off exact 0 and 1 before the logs
+BCE_CLAMP = 1e-7
+
+
+def binary_cross_entropy(target, prediction):
     """Summed BCE between a constant target in [0,1] and predicted probabilities.
 
-    Predictions are clamped into [clamp, 1-clamp] before the logs so that
-    saturated values stay finite; the gradient is blocked where the clamp
-    engaged.  Fused into one tape node: every epoch scores each feature
-    reconstruction with it.
+    Predictions are clamped into [BCE_CLAMP, 1 - BCE_CLAMP] before the logs
+    so that saturated values stay finite; the gradient is blocked where the
+    clamp engaged.  Fused into one tape node: every epoch scores each
+    feature reconstruction with it.
     """
     target = np.asarray(target, dtype=np.float64)
     pred = _wrap(prediction)
-    q = np.clip(pred.value, clamp, 1.0 - clamp)
+    q = np.clip(pred.value, BCE_CLAMP, 1.0 - BCE_CLAMP)
     out = Tensor(-(target * np.log(q) + (1.0 - target) * np.log1p(-q)).sum())
     if not _tracked(pred):
         return out
 
     def grad_fn(g):
         # the clamped copy is recomputed rather than kept on the tape
-        q = np.clip(pred.value, clamp, 1.0 - clamp)
-        inside = (pred.value >= clamp) & (pred.value <= 1.0 - clamp)
+        q = np.clip(pred.value, BCE_CLAMP, 1.0 - BCE_CLAMP)
+        inside = (pred.value >= BCE_CLAMP) & (pred.value <= 1.0 - BCE_CLAMP)
         return ((pred, g * inside * ((q - target) / (q * (1.0 - q)))),)
 
     return _record(out, (pred,), grad_fn)

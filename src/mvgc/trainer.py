@@ -12,8 +12,10 @@ logistic noise, dropout) then builds the differentiable objective
 
 where L_r reconstructs the per-view and global features, L_c pulls soft
 assignments toward a sharpened target, and L_E is the evidence bound on the
-consensus-graph posterior.  The belief update itself is never differentiated
-through; beliefs, one float per view, are loss constants refreshed each epoch.
+consensus-graph posterior: ``build_loss`` scores each view's decoded
+adjacency in turn and hands the summed likelihood to ``elbo_loss``.  The
+belief update itself is never differentiated through; beliefs, one float per
+view, are loss constants refreshed each epoch.
 
 Everything that does not depend on the parameters is computed once, outside
 the loss: ``init_state`` message-passes each view's features along its own
@@ -52,6 +54,7 @@ from .metrics import acc, ari, f1, nmi, score  # noqa: F401
 from .nncore import OptimizerState, adam_step, no_grad, zero_grads
 from .vargen import (
     PosteriorNet,
+    adjacency_nll,
     compute_prior_beta,
     decode_adjacency,
     elbo_loss,
@@ -143,7 +146,6 @@ class FitResult:
     zbar: np.ndarray
     z_views: list
     consensus: np.ndarray
-    inertia: float
 
 
 def init_state(dataset, config):
@@ -180,18 +182,18 @@ def init_state(dataset, config):
 
 
 def _forward(state, dataset, config, noise_rng=None, dropout_rng=None):
-    """Posterior embeddings, consensus sample and per-view embeddings, as
-    Tensors.
+    """Posterior query embedding, consensus sample and per-view embeddings,
+    as Tensors.
 
     ``noise_rng`` draws the logistic noise that perturbs the concrete sample
     (otherwise it sits at the posterior median); the draw is passed straight
     to the sample node, so it is freed once added in.  ``dropout_rng`` draws
     the posterior net's dropout masks (otherwise there is none).  Returns
-    (posterior, sample, z_views).
+    (q_embed, sample, z_views).
     """
-    posterior = infer_posterior(dataset.x_global, state.posterior, rng=dropout_rng)
+    k, q = infer_posterior(dataset.x_global, state.posterior, rng=dropout_rng)
     sample = sample_consensus(
-        posterior.k_embed, posterior.q_embed, config.tau,
+        k, q, config.tau,
         noise=None if noise_rng is None
         else logistic_noise(noise_rng, (dataset.n, dataset.n)),
     )
@@ -200,7 +202,7 @@ def _forward(state, dataset, config, noise_rng=None, dropout_rng=None):
         encode_view(x, specific, s_norm, enc, config.order)
         for (x, _), specific, enc in zip(dataset.views, state.specific, state.encoders)
     ]
-    return posterior, sample, z_views
+    return q, sample, z_views
 
 
 def _forward_eval(state, dataset, config):
@@ -255,21 +257,21 @@ def build_loss(state, dataset, config, artifacts, p_global=None):
     (total, named terms, the target actually used) so callers can re-evaluate
     the loss with the target pinned.
     """
-    posterior, sample, z_views = _forward(
+    q_embed, sample, z_views = _forward(
         state, dataset, config,
         noise_rng=rng_stream(config.seed, state.epoch, "noise"),
         dropout_rng=rng_stream(config.seed, state.epoch, "dropout"),
     )
 
-    l_r = reconstruction_loss_global(
-        dataset.x_global, posterior.q_embed, state.global_decoder
-    )
+    l_r = reconstruction_loss_global(dataset.x_global, q_embed, state.global_decoder)
     for (x, _), z, enc in zip(dataset.views, z_views, state.encoders):
         l_r = l_r + reconstruction_loss(x, z, enc)
 
-    # decoded one view at a time, as elbo_loss scores them
-    decoded = (decode_adjacency(z) for z in z_views)
-    l_e = elbo_loss(dataset.graphs, decoded, sample, artifacts.kl_bound)
+    # each view's logits are freed once scored, before the next is decoded
+    likelihood = 0.0
+    for g, z in zip(dataset.graphs, z_views):
+        likelihood = likelihood - adjacency_nll(g, decode_adjacency(z))
+    l_e = elbo_loss(likelihood, sample, artifacts.kl_bound)
 
     zbar = fuse(z_views, artifacts.beliefs)
     q_views = [
@@ -404,5 +406,4 @@ def fit(dataset, config, callback=None):
         zbar=zbar,
         z_views=z_views,
         consensus=consensus,
-        inertia=final.inertia,
     )

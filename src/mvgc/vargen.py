@@ -4,11 +4,10 @@ The edge prior is a Bernoulli field whose parameters come from belief-weighted
 agreement between the observed graphs.  The posterior puts a logit on every
 node pair via an attention-style product of global-feature embeddings, and is
 sampled through the binary-concrete relaxation so gradients reach the
-posterior net.  The ELBO combines per-view adjacency reconstruction, the
+posterior net.  The ELBO combines per-view adjacency likelihoods (each view's
+decoder logits, ``decode_adjacency``, scored by ``adjacency_nll``), the
 entropy of the relaxed sample, and a closed-form upper bound on the KL term.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -21,21 +20,14 @@ from .nncore import (
     init_params,
     mlp_apply,
 )
-from .nncore.tensor import _record, _row_blocks, _tracked, _unbroadcast, _wrap
+from .nncore.tensor import (
+    BCE_CLAMP, _record, _row_blocks, _tracked, _unbroadcast, _wrap,
+)
 
 # the relaxed sample is nudged this far off exact 0 and 1
 _SAMPLE_FLOOR = 1e-12
-# decoded adjacency probabilities are clamped this far off exact 0 and 1
-_ADJACENCY_CLAMP = 1e-7
-
-
-@dataclass(frozen=True)
-class PosteriorEmbeddings:
-    """The key and query embeddings K and Q whose product K Q^T is the
-    posterior's pairwise edge logits alpha; ``sample_consensus`` forms it."""
-
-    k_embed: Tensor
-    q_embed: Tensor
+# the edge prior is clamped this far above 0, so that its log stays finite
+_PRIOR_FLOOR = 1e-6
 
 
 class PosteriorNet:
@@ -67,12 +59,12 @@ class PosteriorNet:
         return [*self.params, self.w]
 
 
-def compute_prior_beta(graphs, beliefs, eps=1e-6):
+def compute_prior_beta(graphs, beliefs):
     """Belief-weighted edge prior over all node pairs.
 
     Each view votes b^v for the states it observed and 1-b^v against; the
     normalized vote can exceed 1 when beliefs are small and edges absent, so
-    the result is clamped into [eps, 1] to stay a valid Bernoulli parameter.
+    the result is clamped into [1e-6, 1] to stay a valid Bernoulli parameter.
     Returns the n x n array of clamped probabilities.
 
     Each view's vote is densified for as long as it is added: an array of
@@ -98,15 +90,16 @@ def compute_prior_beta(graphs, beliefs, eps=1e-6):
     for g, bv in zip(graphs[1:], b[1:]):
         votes += vote(g, bv)
     votes /= b.sum()
-    return np.clip(votes, eps, 1.0, out=votes)
+    return np.clip(votes, _PRIOR_FLOOR, 1.0, out=votes)
 
 
 def infer_posterior(x_global, net, rng=None):
-    """K = f'(global features) and Q = K W; the logits alpha = K Q^T are
-    formed by ``sample_consensus``.  Dropout masks in f' come from ``rng``;
-    without one the pass is deterministic."""
+    """The key and query embeddings (K, Q): K = f'(global features) and
+    Q = K W.  The posterior's pairwise edge logits alpha = K Q^T are formed
+    by ``sample_consensus``.  Dropout masks in f' come from ``rng``; without
+    one the pass is deterministic."""
     k = mlp_apply(net.params, net.spec, x_global, rng=rng)
-    return PosteriorEmbeddings(k_embed=k, q_embed=k @ net.w)
+    return k, k @ net.w
 
 
 def logistic_noise(rng, shape):
@@ -230,15 +223,15 @@ def decode_adjacency(z):
 
 def _bce_terms(adj, logits):
     """Per-entry BCE of 0/1 targets ``adj`` under sigmoid(``logits``), the
-    probabilities clamped into [clamp, 1 - clamp]."""
-    q = np.clip(special.expit(logits), _ADJACENCY_CLAMP, 1.0 - _ADJACENCY_CLAMP)
+    probabilities clamped into [BCE_CLAMP, 1 - BCE_CLAMP]."""
+    q = np.clip(special.expit(logits), BCE_CLAMP, 1.0 - BCE_CLAMP)
     return -(adj * np.log(q) + (1.0 - adj) * np.log1p(-q))
 
 
 # beyond this |logit| the sigmoid lies within clamp / e of 0 or 1, outside
 # [clamp, 1 - clamp] by a margin that dwarfs expit's rounding, so the clip
 # decides the entry
-_DECIDED_LOGIT = float(special.logit(1.0 - _ADJACENCY_CLAMP)) + 1.0
+_DECIDED_LOGIT = float(special.logit(1.0 - BCE_CLAMP)) + 1.0
 # the term of a decided entry is the term at an infinite logit: row 0 for a
 # negative logit and row 1 for a positive one, column 0 for a non-edge and
 # column 1 for an edge
@@ -247,9 +240,9 @@ _DECIDED_TERMS = _bce_terms(np.array([[0.0, 1.0]]), np.array([[-np.inf], [np.inf
 
 def adjacency_nll(graph, logits):
     """Summed BCE of a Graph's 0/1 adjacency under the decoder
-    sigmoid(logits), the probabilities clamped into [1e-7, 1 - 1e-7] as
-    ``binary_cross_entropy`` clamps them; the gradient is blocked where the
-    clamp engaged.
+    sigmoid(logits), the probabilities clamped into [BCE_CLAMP,
+    1 - BCE_CLAMP] as ``binary_cross_entropy`` clamps them; the gradient is
+    blocked where the clamp engaged.
 
     Decided entries: where |logit| exceeds ``_DECIDED_LOGIT`` (about 17.1),
     the clamp alone sets the entry's term, and its gradient is zero.  When
@@ -284,7 +277,7 @@ def adjacency_nll(graph, logits):
     out = Tensor(_bce_terms(graph.adj.toarray(), lv).sum())
     if not _tracked(logits):
         return out
-    lo, hi = _ADJACENCY_CLAMP, 1.0 - _ADJACENCY_CLAMP
+    lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
 
     def grad_fn(g):
         adj = graph.adj.toarray()
@@ -297,28 +290,17 @@ def adjacency_nll(graph, logits):
     return _record(out, (logits,), grad_fn)
 
 
-def elbo_loss(graphs, decoded, s, kl_bound):
-    """Evidence lower bound: reconstruction likelihood of every observed
-    graph, plus sample entropy, minus the KL bound.  Training maximizes this,
-    so it enters the total objective with a negative weight.
+def elbo_loss(likelihood, s, kl_bound):
+    """Evidence lower bound: the reconstruction likelihood of the observed
+    graphs, plus sample entropy, minus the KL bound.  Training maximizes
+    this, so it enters the total objective with a negative weight.
 
-    ``decoded`` yields each graph's decoder logits (``decode_adjacency``),
-    in the graphs' order; given a generator, each view is decoded only once
-    the previous one is scored, so one n x n logits array exists at a time.
-    ``s`` is the relaxed consensus sample.  ``kl_bound`` is the float
+    ``likelihood`` is the sum over views of -``adjacency_nll`` of each
+    graph under its decoder logits, which the caller scores one view at a
+    time so that one n x n logits array exists at a time.  ``s`` is the
+    relaxed consensus sample.  ``kl_bound`` is the float
     ``kl_upper_bound(beta)``: it depends only on the graphs and beliefs, not
     on any parameter, so the caller computes it once per belief update."""
-    decoded = iter(decoded)
-    likelihood = 0.0
-    for views, g in enumerate(graphs):
-        logits = next(decoded, None)
-        if logits is None:
-            raise ValueError(f"{len(graphs)} graphs but {views} decodings")
-        likelihood = likelihood - adjacency_nll(g, logits)
-        # free this view's logits before the next view is decoded
-        del logits
-    if next(decoded, None) is not None:
-        raise ValueError(f"{len(graphs)} graphs but more decodings")
     return likelihood + bernoulli_entropy(s) - kl_bound
 
 

@@ -182,6 +182,37 @@ def test_repeated_meta_key_exits_two(tmp_path, capsys):
     assert "key 'n' repeats line" in capsys.readouterr().err
 
 
+def test_repeated_config_key_exits_two_before_training(tmp_path, capsys, monkeypatch):
+    data = synth(tmp_path)
+    conf = tmp_path / "run.conf"
+    conf.write_text("epochs=3\nepochs=1\n")
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "fit", no_training)
+    assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
+                 "--config", str(conf)]) == 2
+    assert "run.conf line 2: key 'epochs' repeats line 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1", "1.5"])
+def test_consensus_threshold_outside_the_unit_interval_exits_two_before_loading(
+    tmp_path, capsys, monkeypatch, value
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("loading or training started")
+
+    monkeypatch.setattr(cli, "load_dataset", unreachable)
+    monkeypatch.setattr(cli, "fit", unreachable)
+    assert main(["cluster", str(tmp_path / "data"), "--out", str(tmp_path / "run"),
+                 "--export-consensus", f"--consensus-threshold={value}"]) == 2
+    assert "--consensus-threshold" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_python_dash_m_runs_the_cli():
     result = subprocess.run(
         [sys.executable, "-m", "mvgc", "--help"],

@@ -244,7 +244,7 @@ def _same_bits(a, b):
 
 def _primitive_fuse(embeddings, b):
     """``fuse`` as the chain of primitive ops its node replaces."""
-    return concat([_wrap(z) * bv for z, bv in zip(embeddings, b)], axis=1)
+    return concat([_wrap(z) * bv for z, bv in zip(embeddings, b)])
 
 
 def _primitive_soft_assignment(z, centroids):

@@ -95,6 +95,10 @@ def test_parse_config_file_names_file_and_line_on_errors(tmp_path):
     with pytest.raises(DatasetError, match=r"line 2: dropout must lie in \[0, 1\)"):
         parse_config_file(path)
 
+    path.write_text("epochs=3\n# a comment\nepochs = 1\n")
+    with pytest.raises(DatasetError, match=r"bad\.conf line 3: key 'epochs' repeats line 1"):
+        parse_config_file(path)
+
     with pytest.raises(DatasetError, match=r"cannot read config file .*absent\.conf"):
         parse_config_file(tmp_path / "absent.conf")
 
@@ -222,7 +226,7 @@ def test_directed_graphs_survive_the_round_trip(tmp_path):
     g = add_self_loops(Graph(adj))
     x = np.linspace(0.0, 1.0, 6).reshape(3, 2)
     dataset = MultiViewDataset(
-        views=((x, g),), x_global=x, labels=np.array([0, 1, 1]), c=2
+        views=((x, g),), labels=np.array([0, 1, 1]), c=2
     )
     save_dataset(dataset, tmp_path / "directed")
     meta = (tmp_path / "directed" / "meta").read_text()
@@ -482,20 +486,25 @@ def test_dataset_container_validates_shape_agreement():
     g = add_self_loops(Graph(np.zeros((3, 3))))
     x = np.zeros((3, 2))
     with pytest.raises(ValueError, match="at least one view"):
-        MultiViewDataset(views=(), x_global=x, labels=None, c=1)
+        MultiViewDataset(views=(), labels=None, c=1)
     with pytest.raises(ValueError, match="node count"):
-        MultiViewDataset(
-            views=((np.zeros((4, 2)), g),), x_global=np.zeros((4, 2)),
-            labels=None, c=2,
-        )
+        MultiViewDataset(views=((np.zeros((4, 2)), g),), labels=None, c=2)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        MultiViewDataset(views=((x + 2.0, g),), x_global=x, labels=None, c=2)
-    with pytest.raises(ValueError, match="global features"):
-        MultiViewDataset(views=((x, g),), x_global=np.zeros((3, 5)), labels=None, c=2)
+        MultiViewDataset(views=((x + 2.0, g),), labels=None, c=2)
     with pytest.raises(ValueError, match="label count"):
-        MultiViewDataset(views=((x, g),), x_global=x, labels=[0, 1], c=2)
+        MultiViewDataset(views=((x, g),), labels=[0, 1], c=2)
     with pytest.raises(ValueError, match="cluster count"):
-        MultiViewDataset(views=((x, g),), x_global=x, labels=None, c=9)
+        MultiViewDataset(views=((x, g),), labels=None, c=9)
+
+
+def test_global_features_are_the_views_side_by_side_and_not_an_argument():
+    g = add_self_loops(Graph(np.zeros((3, 3))))
+    rng = np.random.default_rng(4)
+    xs = [rng.random((3, width)) for width in (2, 1, 4)]
+    dataset = MultiViewDataset(views=tuple((x, g) for x in xs), labels=None, c=2)
+    assert np.array_equal(dataset.x_global, np.hstack(xs))
+    with pytest.raises(TypeError, match="x_global"):
+        MultiViewDataset(views=((xs[0], g),), x_global=xs[0], labels=None, c=2)
 
 
 def test_save_run_writes_every_report_file(tmp_path):
@@ -600,7 +609,7 @@ def test_saved_edge_lists_match_the_per_edge_writer(tmp_path, directed):
         adj = np.maximum(adj, adj.T)
     g = add_self_loops(Graph(adj))
     x = rng.random((12, 3))
-    dataset = MultiViewDataset(views=((x, g),), x_global=x, labels=None, c=2)
+    dataset = MultiViewDataset(views=((x, g),), labels=None, c=2)
     save_dataset(dataset, tmp_path / "d")
     rows, cols = np.nonzero(g.adj.toarray())
     expected = "".join(

@@ -76,7 +76,7 @@ def test_encode_view_compresses_both_graph_routes_through_f():
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=4, seed=5)
     s_norm = Tensor(tilted_norm(n))
     specific = message_pass(x, ring_norm(n), 2).value
-    both = concat([specific, message_pass(x, s_norm, 2)], axis=1)
+    both = concat([specific, message_pass(x, s_norm, 2)])
     expected = mlp_apply(enc.f_params, enc.f_spec, both).value
     assert np.array_equal(
         encode_view(x, specific, s_norm, enc, order=2).value, expected

@@ -28,8 +28,9 @@ def test_epoch_memory_reports_each_phase_and_the_epoch_peak():
     rows = [line.split("\t") for line in lines[1:]]
     peaks = {row[0]: float(row[1]) for row in rows[:-3]}
     for phase in ("eval pass", "k-means", "prior", "forward sample_consensus",
-                  "forward soft_assignment", "backward soft_assignment",
-                  "backward normalize_consensus", "adam"):
+                  "forward adjacency_nll", "forward soft_assignment",
+                  "backward soft_assignment", "backward normalize_consensus",
+                  "adam"):
         assert phase in peaks
     assert all(peak >= 0.0 for peak in peaks.values())
     label, peak, top = rows[-3]

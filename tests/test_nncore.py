@@ -45,7 +45,7 @@ def test_composite_expression_passes_finite_differences():
 
     def loss_fn():
         h = (a @ b).sigmoid()
-        mixed = concat([h * c, (h - c).relu()], axis=1)
+        mixed = concat([h * c, (h - c).relu()])
         return (mixed * mixed).sum() + h.log().sum()
 
     assert grad_check(loss_fn, [a, b, c], h=1e-6, max_entries=64) < 1e-7
@@ -328,7 +328,7 @@ def test_dropping_the_loss_frees_the_tape_without_the_cycle_collector():
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         # every op that records a tape node
-        h = concat([(w @ w.T).sigmoid(), (w * 0.5).exp() @ w.T], axis=1)
+        h = concat([(w @ w.T).sigmoid(), (w * 0.5).exp() @ w.T])
         h = (h.relu() + 1.0 - w.sum() / 3.0) ** 2.0
         p = (h.clip(0.1, 5.0) / 6.0).log().exp() @ np.full((8, 4), 0.125)
         loss = binary_cross_entropy(target, p) + bernoulli_entropy(p)

@@ -16,8 +16,8 @@ from scipy import special
 from mvgc.dataio import MultiViewDataset, _load_edges, save_dataset
 from mvgc.graph import Graph, hamming_distance, knn_graph
 from mvgc.nncore import Parameter, backward
+from mvgc.nncore.tensor import BCE_CLAMP
 from mvgc.vargen import (
-    _ADJACENCY_CLAMP,
     _DECIDED_LOGIT,
     _DECIDED_TERMS,
     _bce_terms,
@@ -70,7 +70,7 @@ def _dense_nll(adj, logits):
     if decided.all():
         index = (positive.view(np.uint8) << 1) | (adj > 0.0).view(np.uint8)
         return _DECIDED_TERMS.take(index).sum(), np.zeros_like(lv)
-    lo, hi = _ADJACENCY_CLAMP, 1.0 - _ADJACENCY_CLAMP
+    lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
     a_hat = special.expit(lv)
     q = np.clip(a_hat, lo, hi)
     inside = (a_hat >= lo) & (a_hat <= hi)
@@ -208,8 +208,7 @@ def test_saved_dataset_bytes_match_the_dense_writer(seed, n, views, density, dir
         np.fill_diagonal(adj, 1.0)
     x = rng.random((n, 2))
     dataset = MultiViewDataset(
-        views=tuple((x, Graph(adj)) for adj in adjs),
-        x_global=np.concatenate([x] * views, axis=1), labels=None, c=1,
+        views=tuple((x, Graph(adj)) for adj in adjs), labels=None, c=1,
     )
     dense_directed = any(not np.array_equal(adj, adj.T) for adj in adjs)
     with tempfile.TemporaryDirectory() as tmp:

@@ -321,7 +321,6 @@ def test_fit_histories_metrics_and_shapes():
     assert set(result.metrics) == {"nmi", "ari", "acc", "f1"}
     for key in ("nmi", "acc", "f1"):
         assert 0.0 <= result.metrics[key] <= 1.0
-    assert result.inertia >= 0.0
 
 
 def test_fit_is_deterministic_for_a_fixed_seed():

@@ -153,13 +153,12 @@ def test_normalize_consensus_rows_sum_to_one():
 def test_infer_posterior_is_consistent_with_its_embeddings():
     net = PosteriorNet.create(d_in=7, hidden=6, dropout=0.0, seed=0)
     x = np.random.default_rng(6).uniform(size=(5, 7))
-    post = infer_posterior(x, net)
-    assert np.allclose(post.q_embed.value, post.k_embed.value @ net.w.value)
+    k, q = infer_posterior(x, net)
+    assert np.allclose(q.value, k.value @ net.w.value)
     # the sample node forms the logits K Q^T itself
-    alpha = post.k_embed.value @ post.q_embed.value.T
+    alpha = k.value @ q.value.T
     assert np.allclose(
-        sample_consensus(post.k_embed, post.q_embed, 5.0).value,
-        bare_sample(alpha, 5.0).value,
+        sample_consensus(k, q, 5.0).value, bare_sample(alpha, 5.0).value
     )
 
 
@@ -180,8 +179,11 @@ def test_elbo_composes_reconstruction_entropy_and_bound():
         Tensor(np.random.default_rng(10).normal(size=(6, 6))), 5.0
     )
     decoded = [decode_adjacency(z) for _ in graphs]
+    likelihood = 0.0
+    for g, d in zip(graphs, decoded):
+        likelihood = likelihood - adjacency_nll(g, d)
 
-    got = elbo_loss(graphs, decoded, sample, kl_upper_bound(prior)).value
+    got = elbo_loss(likelihood, sample, kl_upper_bound(prior)).value
     manual = (
         -sum(binary_cross_entropy(g.adj.toarray(), d.sigmoid()).value
              for g, d in zip(graphs, decoded))
@@ -191,18 +193,6 @@ def test_elbo_composes_reconstruction_entropy_and_bound():
     assert got == pytest.approx(manual)
 
 
-def test_elbo_rejects_mismatched_decodings():
-    graphs = graph_pair(seed=11)
-    prior = compute_prior_beta(graphs, beliefs=(1.0, 1.0))
-    sample = bare_sample(Tensor(np.zeros((6, 6))), 5.0)
-    for count in (1, 3):
-        with pytest.raises(ValueError, match="2 graphs but"):
-            elbo_loss(
-                graphs, [decode_adjacency(Tensor(np.zeros((6, 2))))] * count,
-                sample, kl_upper_bound(prior),
-            )
-
-
 def test_elbo_gradient_reaches_the_posterior_logits():
     graphs = graph_pair(seed=12)
     prior = compute_prior_beta(graphs, beliefs=(1.0, 1.0))
@@ -210,10 +200,10 @@ def test_elbo_gradient_reaches_the_posterior_logits():
     z = Parameter(np.random.default_rng(14).normal(scale=0.3, size=(6, 3)))
 
     def loss_fn():
-        sample = bare_sample(alpha, 5.0)
-        return elbo_loss(
-            graphs, [decode_adjacency(z)] * 2, sample, kl_upper_bound(prior)
-        )
+        likelihood = 0.0
+        for g in graphs:
+            likelihood = likelihood - adjacency_nll(g, decode_adjacency(z))
+        return elbo_loss(likelihood, bare_sample(alpha, 5.0), kl_upper_bound(prior))
 
     # h large enough that float64 cancellation stays well under the bound
     assert grad_check(loss_fn, [alpha, z], h=1e-4, max_entries=24) < 1e-5
