@@ -127,9 +127,7 @@ class Phases:
 
 def install(phases):
     """Wrap the trainer's calls, the vargen stage elbo_loss calls, every
-    mvgc module's ``_record`` and ``Tensor.backward``.  A stage that the
-    tree under ``--src`` does not bind where it is looked up here is left
-    unwrapped, and its memory is credited to the stage that calls it."""
+    mvgc module's ``_record`` and ``Tensor.backward``."""
     import mvgc.trainer as trainer
     from mvgc import vargen
     from mvgc.nncore import tensor
@@ -144,9 +142,8 @@ def install(phases):
         setattr(trainer, name, phases.wrap(getattr(trainer, name), label))
     for module, names in ((trainer, FORWARD_STAGES), (vargen, ELBO_STAGES)):
         for name in names:
-            if hasattr(module, name):
-                setattr(module, name,
-                        phases.wrap(getattr(module, name), f"forward {name}"))
+            setattr(module, name,
+                    phases.wrap(getattr(module, name), f"forward {name}"))
     record = tensor._record
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("mvgc")
@@ -156,19 +153,10 @@ def install(phases):
 
 
 def state_bytes(state):
-    """Bytes of every buffer behind the parameters' values and gradients and
-    the arrays the optimizer keeps, flat or one per parameter; a buffer
-    that several views share counts once."""
-    arrays = [a for p in state.parameters() for a in (p.value, p.grad)]
-    for held in vars(state.optimizer).values():
-        arrays.extend(a for a in (held if isinstance(held, list) else [held])
-                      if isinstance(a, np.ndarray))
-    owners = {}
-    for a in arrays:
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        owners[id(a)] = a.nbytes
-    return sum(owners.values())
+    """Bytes of the optimizer's flat arrays: the store every parameter's
+    value and gradient is a view of, the Adam moments and the scratch."""
+    return sum(a.nbytes for a in vars(state.optimizer).values()
+               if isinstance(a, np.ndarray))
 
 
 def trace_epoch(n, views):

@@ -32,24 +32,22 @@ class ClusterResult:
 
 
 def fuse(embeddings, beliefs):
-    """Concatenate the views' embeddings, each scaled by its belief.
+    """Concatenate the views' embeddings, each scaled by its belief, as a
+    Tensor.
 
-    Accepts Tensors (keeps gradients) or plain arrays; view order follows the
-    dataset order.  Each view is scaled straight into its columns of one
-    float64 array.  Given Tensors, that array is one tape node that keeps
-    only the views: view v gets its columns of the gradient times b^v, in
-    view order, as the per-view products and the concat they feed give it.
+    Takes Tensors or plain arrays, in dataset view order; a plain array is
+    a constant, so fusing only plain arrays records no tape node.  Each view
+    is scaled straight into its columns of one float64 array.  With a
+    tracked view, that array is one tape node that keeps only the views:
+    view v gets its columns of the gradient times b^v, in view order, as the
+    per-view products and the concat they feed give it.
     """
     if len(beliefs) != len(embeddings):
         raise ValueError(f"{len(embeddings)} embeddings but {len(beliefs)} beliefs")
     if not embeddings:
         raise ValueError("nothing to fuse")
-    tensors = any(isinstance(z, Tensor) for z in embeddings)
-    if tensors:
-        embeddings = [_wrap(z) for z in embeddings]
-        values = [z.value for z in embeddings]
-    else:
-        values = [np.asarray(z) for z in embeddings]
+    embeddings = [_wrap(z) for z in embeddings]
+    values = [z.value for z in embeddings]
     rows = values[0].shape[0]
     if any(v.ndim != 2 or v.shape[0] != rows for v in values):
         raise ValueError(
@@ -60,14 +58,10 @@ def fuse(embeddings, beliefs):
     fused = np.empty((rows, int(ends[-1])))
     for v, bv, cols in zip(values, beliefs, columns):
         np.multiply(v, bv, out=fused[:, cols])
-    if not tensors:
-        return fused
     tracked = [
         (z, bv, cols)
         for z, bv, cols in zip(embeddings, beliefs, columns) if _tracked(z)
     ]
-    if not tracked:
-        return Tensor(fused)
 
     def grad_fn(g):
         for z, bv, cols in tracked:

@@ -3,7 +3,8 @@
 On-disk layout of a dataset directory:
 
     meta                flat key=value text: n, V, c, optional directed
-                        (true or false, in any case), names
+                        (true or false, in any case) and names (free text,
+                        which nothing reads); any other key is an error
     features_v{v}.csv   one row per node, comma-separated (v is 1-based)
     graph_v{v}.tsv      edge list, two 0-indexed node ids per line (optional;
                         a missing file triggers kNN construction)
@@ -184,11 +185,17 @@ def min_max_scale(x):
     return (x - lo) / np.where(span == 0.0, 1.0, span)
 
 
+# every key a meta file may hold; ``names`` is documentation only
+_META_KEYS = ("n", "V", "c", "directed", "names")
+
+
 def _parse_meta(path):
     if not path.is_file():
         raise DatasetError(f"meta file not found: {path}")
     entries, first_line = {}, {}
     for lineno, key, value in _key_value_lines(path, path.read_text()):
+        if key not in _META_KEYS:
+            raise DatasetError(f"meta line {lineno}: unknown key {key!r}")
         first_line[key] = lineno
         entries[key] = value
     for key in ("n", "V", "c"):

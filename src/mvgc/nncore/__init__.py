@@ -3,7 +3,8 @@ gradients, MLPs with dropout, seeded init, adaptive-moment updates.
 
 An ``OptimizerState`` keeps its parameters' values and gradients in one flat
 store, each ``Parameter.value`` and ``.grad`` a view of it.  Code that holds
-the optimizer writes those arrays in place and never rebinds them.
+the optimizer writes those arrays in place and never rebinds them, and
+clears every gradient at once with ``zero_grads``.
 """
 
 from .tensor import (

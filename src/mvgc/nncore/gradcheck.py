@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from .optim import zero_grads
 from .tensor import backward
 
 
@@ -20,7 +19,8 @@ def grad_check(loss_fn, params, h=1e-5, max_entries=64, rng=None):
     params = list(params)
     rng = np.random.default_rng(0) if rng is None else rng
 
-    zero_grads(params)
+    for p in params:
+        p.grad[...] = 0.0
     backward(loss_fn())
     analytic = [p.grad.copy() for p in params]
 

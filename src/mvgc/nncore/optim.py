@@ -8,10 +8,11 @@ place (``p.value[...] = x``, ``p.grad += g``), never rebound: ``adam_step``
 raises ``RuntimeError`` on a rebound array rather than step a store the
 parameter no longer reads.
 
-``adam_step`` walks the flat buffers one block of ``_BLOCK_ENTRIES`` entries
-at a time with one block of scratch, so a block's arrays stay in cache.
-Every op is elementwise, so the update is bit for bit that of a loop over
-the parameters.
+``zero_grads`` zeroes every gradient with one fill of ``grads``.
+``adam_step`` walks the flat buffers one block of ``_BLOCK_ENTRIES``
+entries at a time with one block of scratch, so a block's arrays stay in
+cache.  Every op is elementwise, so the update is bit for bit that of a
+loop over the parameters.
 
 The moment decay rates ``BETA1`` and ``BETA2`` and the denominator's ``EPS``
 are the usual constants; only the learning rate is a setting.
@@ -93,11 +94,7 @@ def adam_step(state):
         state.values[part] -= scratch
 
 
-def zero_grads(params):
-    """Zero gradients: an ``OptimizerState``'s whole flat buffer in one
-    fill, or each Parameter of a list in turn."""
-    if isinstance(params, OptimizerState):
-        params.grads.fill(0.0)
-        return
-    for p in params:
-        p.zero_grad()
+def zero_grads(state):
+    """Zero every gradient of an ``OptimizerState``: one fill of its flat
+    gradient buffer."""
+    state.grads.fill(0.0)

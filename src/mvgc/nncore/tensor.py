@@ -22,9 +22,8 @@ replaces it, so its intermediates never reach the tape:
 - in ``mvgc.vargen``: the concrete sample, which also forms the posterior
   logits K Q^T in the buffer that becomes the sample, so neither the logits
   nor the noise reach the tape; its row normalization, which forms the row
-  term of its backward a row block at a time; the decoder logits Z Z^T; and
-  the adjacency likelihood, which keeps the sparse graph rather than a
-  dense adjacency;
+  term of its backward a row block at a time; and the adjacency
+  likelihood, which keeps the sparse graph rather than a dense adjacency;
 - in ``mvgc.cluster``: the fusion, which keeps no scaled copy of a view, and
   the soft assignment, which keeps z and n x c arrays but not z * z.
 
@@ -35,6 +34,10 @@ yields them one at a time; a generator lets the walk add each pair in
 before the next is made.  A pair may carry a third item, True, when its
 function made the array for that pair alone and keeps no other use of it:
 the array is handed over, and the walk may add later pairs into it.
+
+The clamped BCE has one home: ``_bce_terms`` gives its per-entry terms and
+``_bce_slope`` their clamp-blocked slope, for ``binary_cross_entropy`` here
+and for the adjacency likelihood in ``mvgc.vargen``.
 
 A node whose gradient is zero by construction need not be recorded at
 all: the adjacency likelihood records none when the BCE clamp decides every
@@ -132,9 +135,6 @@ class Tensor:
 
     # -- shape and reductions -----------------------------------------------
 
-    def transpose(self):
-        return transpose(self)
-
     @property
     def T(self):
         return transpose(self)
@@ -177,9 +177,6 @@ class Parameter(Tensor):
     def __init__(self, value):
         super().__init__(value)
         self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
 
 
 def _wrap(x):
@@ -423,6 +420,21 @@ def concat(tensors):
 BCE_CLAMP = 1e-7
 
 
+def _bce_terms(target, p):
+    """Per-entry BCE of targets ``target`` under probabilities ``p``, clamped
+    into [BCE_CLAMP, 1 - BCE_CLAMP] before the logs."""
+    q = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    return -(target * np.log(q) + (1.0 - target) * np.log1p(-q))
+
+
+def _bce_slope(g, target, p):
+    """``g`` times the slope of ``_bce_terms`` in ``p``: zero where the clamp
+    engaged."""
+    q = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    inside = (p >= BCE_CLAMP) & (p <= 1.0 - BCE_CLAMP)
+    return g * inside * ((q - target) / (q * (1.0 - q)))
+
+
 def binary_cross_entropy(target, prediction):
     """Summed BCE between a constant target in [0,1] and predicted probabilities.
 
@@ -433,18 +445,11 @@ def binary_cross_entropy(target, prediction):
     """
     target = np.asarray(target, dtype=np.float64)
     pred = _wrap(prediction)
-    q = np.clip(pred.value, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    out = Tensor(-(target * np.log(q) + (1.0 - target) * np.log1p(-q)).sum())
-    if not _tracked(pred):
-        return out
-
-    def grad_fn(g):
-        # the clamped copy is recomputed rather than kept on the tape
-        q = np.clip(pred.value, BCE_CLAMP, 1.0 - BCE_CLAMP)
-        inside = (pred.value >= BCE_CLAMP) & (pred.value <= 1.0 - BCE_CLAMP)
-        return ((pred, g * inside * ((q - target) / (q * (1.0 - q)))),)
-
-    return _record(out, (pred,), grad_fn)
+    out = Tensor(_bce_terms(target, pred.value).sum())
+    # the clamped copy is recomputed in the backward rather than kept
+    return _record(
+        out, (pred,), lambda g: ((pred, _bce_slope(g, target, pred.value)),)
+    )
 
 
 def _entropy_terms(v):
@@ -500,7 +505,7 @@ def backward(loss):
     ``.grad``.
 
     The loss must be scalar.  Gradients add up across backward calls on
-    separately built losses until ``zero_grad``.  The walk consumes the tape:
+    separately built losses until they are zeroed.  The walk consumes the tape:
     each node drops its gradient closure and parent links as soon as it has
     passed its gradient on, so the intermediates it alone kept alive are
     freed before ``backward`` returns.  Walking a consumed loss again, or a

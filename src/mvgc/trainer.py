@@ -223,7 +223,7 @@ def prepare_epoch(state, dataset, config):
     seed, epoch = config.seed, state.epoch
     _, z_views = _forward_eval(state, dataset, config)
     pseudo = kmeans(
-        fuse(z_views, state.beliefs), dataset.c,
+        fuse(z_views, state.beliefs).value, dataset.c,
         seed=derived_seed(seed, epoch, "pseudo"), restarts=config.restarts,
     )
     view_results = [
@@ -235,7 +235,7 @@ def prepare_epoch(state, dataset, config):
         pseudo.labels, [r.labels for r in view_results], config.rho
     )
     global_result = kmeans(
-        fuse(z_views, beliefs), dataset.c,
+        fuse(z_views, beliefs).value, dataset.c,
         seed=derived_seed(seed, epoch, "global"), restarts=config.restarts,
     )
     return EpochArtifacts(
@@ -390,7 +390,7 @@ def fit(dataset, config, callback=None):
         if callback is not None:
             callback(epoch, report)
     consensus, z_views = _forward_eval(state, dataset, config)
-    zbar = fuse(z_views, state.beliefs)
+    zbar = fuse(z_views, state.beliefs).value
     if not np.isfinite(zbar).all():
         raise TrainingError("final embedding is not finite")
     final = kmeans(

@@ -9,6 +9,8 @@ decoder logits, ``decode_adjacency``, scored by ``adjacency_nll``), the
 entropy of the relaxed sample, and a closed-form upper bound on the KL term.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import special
 
@@ -21,7 +23,8 @@ from .nncore import (
     mlp_apply,
 )
 from .nncore.tensor import (
-    BCE_CLAMP, _record, _row_blocks, _tracked, _unbroadcast, _wrap,
+    BCE_CLAMP, _bce_slope, _bce_terms, _record, _row_blocks, _tracked,
+    _unbroadcast, _wrap,
 )
 
 # the relaxed sample is nudged this far off exact 0 and 1
@@ -30,14 +33,14 @@ _SAMPLE_FLOOR = 1e-12
 _PRIOR_FLOOR = 1e-6
 
 
+@dataclass
 class PosteriorNet:
     """Posterior over the consensus graph: an MLP on global features plus the
     square mixing matrix that produces the query embedding."""
 
-    def __init__(self, spec, params, w):
-        self.spec = spec
-        self.params = params
-        self.w = w
+    spec: MLPSpec
+    params: list
+    w: Parameter
 
     @classmethod
     def create(cls, d_in, hidden, dropout=0.1, seed=0):
@@ -53,7 +56,7 @@ class PosteriorNet:
         w = Parameter(
             np.random.default_rng(w_seed).uniform(-bound, bound, (hidden, hidden))
         )
-        return cls(spec, params, w)
+        return cls(spec=spec, params=params, w=w)
 
     def parameters(self):
         return [*self.params, self.w]
@@ -203,29 +206,10 @@ def decode_adjacency(z):
     """Decoder logits Z Z^T, symmetric by construction; the reconstructed
     adjacency is their sigmoid, which ``adjacency_nll`` applies.
 
-    One tape node that keeps a copy of Z^T.  Z gets its two gradient
-    contributions, G Z and (Z^T G)^T for the logits' gradient G, as two
-    separate pairs: summed in that order they round exactly as the matmul
-    and transpose nodes of Z @ Z.T do.
-    """
+    The plain product ``z @ z.T``: the transpose node keeps one copy of
+    Z^T, and the matmul node hands Z and Z^T their gradients."""
     z = _wrap(z)
-    zt = z.value.T.copy()
-    logits = Tensor(z.value @ zt)
-    if not _tracked(z):
-        return logits
-
-    def grad_fn(g):
-        yield z, g @ zt.T, True
-        yield z, (z.value.T @ g).T, True
-
-    return _record(logits, (z,), grad_fn)
-
-
-def _bce_terms(adj, logits):
-    """Per-entry BCE of 0/1 targets ``adj`` under sigmoid(``logits``), the
-    probabilities clamped into [BCE_CLAMP, 1 - BCE_CLAMP]."""
-    q = np.clip(special.expit(logits), BCE_CLAMP, 1.0 - BCE_CLAMP)
-    return -(adj * np.log(q) + (1.0 - adj) * np.log1p(-q))
+    return z @ z.T
 
 
 # beyond this |logit| the sigmoid lies within clamp / e of 0 or 1, outside
@@ -235,14 +219,17 @@ _DECIDED_LOGIT = float(special.logit(1.0 - BCE_CLAMP)) + 1.0
 # the term of a decided entry is the term at an infinite logit: row 0 for a
 # negative logit and row 1 for a positive one, column 0 for a non-edge and
 # column 1 for an edge
-_DECIDED_TERMS = _bce_terms(np.array([[0.0, 1.0]]), np.array([[-np.inf], [np.inf]]))
+_DECIDED_TERMS = _bce_terms(
+    np.array([[0.0, 1.0]]), special.expit(np.array([[-np.inf], [np.inf]]))
+)
 
 
 def adjacency_nll(graph, logits):
     """Summed BCE of a Graph's 0/1 adjacency under the decoder
     sigmoid(logits), the probabilities clamped into [BCE_CLAMP,
-    1 - BCE_CLAMP] as ``binary_cross_entropy`` clamps them; the gradient is
-    blocked where the clamp engaged.
+    1 - BCE_CLAMP]; the gradient is blocked where the clamp engaged.  The
+    terms and their slope are ``binary_cross_entropy``'s own
+    (``nncore.tensor._bce_terms`` and ``_bce_slope``), fed the sigmoid.
 
     Decided entries: where |logit| exceeds ``_DECIDED_LOGIT`` (about 17.1),
     the clamp alone sets the entry's term, and its gradient is zero.  When
@@ -274,17 +261,11 @@ def adjacency_nll(graph, logits):
         )
         return Tensor(terms.sum())
     del positive, decided
-    out = Tensor(_bce_terms(graph.adj.toarray(), lv).sum())
-    if not _tracked(logits):
-        return out
-    lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
+    out = Tensor(_bce_terms(graph.adj.toarray(), special.expit(lv)).sum())
 
     def grad_fn(g):
-        adj = graph.adj.toarray()
         a_hat = special.expit(logits.value)
-        q = np.clip(a_hat, lo, hi)
-        inside = (a_hat >= lo) & (a_hat <= hi)
-        g = g * inside * ((q - adj) / (q * (1.0 - q)))
+        g = _bce_slope(g, graph.adj.toarray(), a_hat)
         return ((logits, g * a_hat * (1.0 - a_hat)),)
 
     return _record(out, (logits,), grad_fn)

@@ -182,6 +182,22 @@ def test_repeated_meta_key_exits_two(tmp_path, capsys):
     assert "key 'n' repeats line" in capsys.readouterr().err
 
 
+def test_misspelled_meta_key_exits_two_before_training(tmp_path, capsys, monkeypatch):
+    data = synth(tmp_path)
+    meta = data / "meta"
+    meta.write_text(meta.read_text().replace("directed=", "dirceted="))
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "fit", no_training)
+    assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
+                 *FAST_FLAGS]) == 2
+    assert "meta line 4: unknown key 'dirceted'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_repeated_config_key_exits_two_before_training(tmp_path, capsys, monkeypatch):
     data = synth(tmp_path)
     conf = tmp_path / "run.conf"

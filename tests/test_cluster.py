@@ -202,15 +202,18 @@ def test_fuse_scales_each_view_by_its_belief():
     z0 = np.ones((3, 2))
     z1 = np.full((3, 2), 2.0)
     fused = fuse([z0, z1], (1.0, 0.5))
-    assert np.allclose(fused[:, :2], 1.0)
-    assert np.allclose(fused[:, 2:], 1.0)
+    # plain arrays are constants: the fusion records no tape node
+    assert fused._grad_fn is None and fused._parents == ()
+    assert np.allclose(fused.value[:, :2], 1.0)
+    assert np.allclose(fused.value[:, 2:], 1.0)
 
 
 def test_fuse_with_unit_beliefs_is_plain_concatenation():
     rng = np.random.default_rng(5)
     z0, z1 = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     fused = fuse([z0, z1], (1.0, 1.0))
-    assert np.array_equal(fused, np.concatenate([z0, z1], axis=1))
+    assert fused._grad_fn is None and fused._parents == ()
+    assert np.array_equal(fused.value, np.concatenate([z0, z1], axis=1))
 
 
 def test_fuse_keeps_gradients_for_tensor_inputs():
@@ -287,8 +290,7 @@ def test_fuse_node_matches_the_primitive_chain_bit_for_bit(data):
                 inputs.append(starts[v])
             else:
                 inputs.append(inputs[kind])
-        # all-constant inputs fuse to a plain array
-        out = _wrap(fuse_fn(inputs, b))
+        out = fuse_fn(inputs, b)
         weight = np.random.default_rng(seed + 1).normal(size=out.shape)
         # every Parameter has a second consumer, so the order of its
         # gradient contributions shows in the bits

@@ -347,6 +347,31 @@ def test_a_directed_value_other_than_true_or_false_is_named(tmp_path, value):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("line, key", [
+    (4, "dirceted"), (2, "labels"), (5, "N"),
+])
+def test_an_unknown_meta_key_is_named_with_its_line(tmp_path, line, key):
+    lines = ["n=3", "V=1", "c=2", "directed=true"]
+    lines.insert(line - 1, f"{key}=yes")
+    (tmp_path / "meta").write_text("\n".join(lines) + "\n")
+    np.savetxt(tmp_path / "features_v1.csv", np.eye(3), delimiter=",")
+    with pytest.raises(
+        DatasetError, match=f"^meta line {line}: unknown key '{key}'$"
+    ):
+        load_dataset(tmp_path, knn_k=1)
+
+
+def test_meta_names_is_accepted_and_changes_nothing(tmp_path):
+    (tmp_path / "meta").write_text("n=3\nV=1\nc=2\n")
+    np.savetxt(tmp_path / "features_v1.csv", np.eye(3), delimiter=",")
+    (tmp_path / "graph_v1.tsv").write_text("0 1\n")
+    plain = load_dataset(tmp_path)
+    (tmp_path / "meta").write_text("n=3\nV=1\nc=2\nnames=text, images\n")
+    named = load_dataset(tmp_path)
+    assert (plain.graphs[0].adj != named.graphs[0].adj).nnz == 0
+    assert np.array_equal(plain.x_global, named.x_global)
+
+
 @pytest.mark.parametrize("value, directed", [
     ("true", True), ("TRUE", True), ("True", True),
     ("false", False), ("False", False), ("FALSE", False),

@@ -16,11 +16,10 @@ from scipy import special
 from mvgc.dataio import MultiViewDataset, _load_edges, save_dataset
 from mvgc.graph import Graph, hamming_distance, knn_graph
 from mvgc.nncore import Parameter, backward
-from mvgc.nncore.tensor import BCE_CLAMP
+from mvgc.nncore.tensor import BCE_CLAMP, _bce_terms
 from mvgc.vargen import (
     _DECIDED_LOGIT,
     _DECIDED_TERMS,
-    _bce_terms,
     adjacency_nll,
     compute_prior_beta,
 )
@@ -76,7 +75,7 @@ def _dense_nll(adj, logits):
     inside = (a_hat >= lo) & (a_hat <= hi)
     g = -1.5 * inside * ((q - adj) / (q * (1.0 - q)))
     # a leaf's gradient accumulates into zeros
-    return _bce_terms(adj, lv).sum(), np.zeros_like(lv) + g * a_hat * (1.0 - a_hat)
+    return _bce_terms(adj, a_hat).sum(), np.zeros_like(lv) + g * a_hat * (1.0 - a_hat)
 
 
 def _dense_edge_file(adj, directed):
