@@ -13,7 +13,9 @@ The epoch is split into phases by wrapping, at run time, the names that
 
 - ``eval pass``, ``k-means``, ``beliefs`` and ``prior`` in ``prepare_epoch``;
 - ``forward <stage>`` for each stage of ``build_loss``, and ``forward
-  build_loss`` for the sums that join them;
+  build_loss`` for the sums that join them; a stage called outside
+  ``build_loss`` and outside the eval pass, as ``prepare_epoch`` calls
+  ``fuse`` for k-means and the beliefs, is ``eval <stage>``;
 - ``backward <stage>`` for the gradient functions of the tape nodes that
   stage recorded, and ``backward`` for the walk between them;
 - ``zero_grads`` and ``adam``; ``other`` is everything outside these.
@@ -91,6 +93,17 @@ class Phases:
                 self.leave()
         return run
 
+    def wrap_stage(self, fn, name):
+        """A stage of the loss as phase ``forward <name>`` inside
+        ``build_loss`` and as ``eval <name>`` outside it."""
+        forward = self.wrap(fn, f"forward {name}")
+        outside = self.wrap(fn, f"eval {name}")
+
+        def run(*args, **kwargs):
+            inside = "forward build_loss" in self.stack
+            return (forward if inside else outside)(*args, **kwargs)
+        return run
+
     def wrap_build_loss(self, fn):
         """``build_loss`` as a phase that also notes the traced memory it
         leaves allocated."""
@@ -142,8 +155,7 @@ def install(phases):
         setattr(trainer, name, phases.wrap(getattr(trainer, name), label))
     for module, names in ((trainer, FORWARD_STAGES), (vargen, ELBO_STAGES)):
         for name in names:
-            setattr(module, name,
-                    phases.wrap(getattr(module, name), f"forward {name}"))
+            setattr(module, name, phases.wrap_stage(getattr(module, name), name))
     record = tensor._record
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("mvgc")

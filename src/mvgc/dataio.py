@@ -11,10 +11,10 @@ On-disk layout of a dataset directory:
     labels.txt          one integer per line (optional)
 
 Features are min-max scaled per column into [0, 1] at load time so they can
-serve as BCE targets; graphs get self-loops and, unless meta says
-``directed=true``, are symmetrized.  Graphs are held sparse
-(``mvgc.graph.Graph``); an edge list is read straight into one, with no
-n x n array on the way.
+serve as BCE targets, and a column whose range overflows float64 is an
+error; graphs get self-loops and, unless meta says ``directed=true``, are
+symmetrized.  Graphs are held sparse (``mvgc.graph.Graph``); an edge list is
+read straight into one, with no n x n array on the way.
 """
 
 import json
@@ -178,10 +178,18 @@ def parse_config_file(path):
 
 
 def min_max_scale(x):
-    """Scale each column into [0, 1]; constant columns collapse to 0."""
+    """Scale each column into [0, 1]; constant columns collapse to 0.
+
+    Raises ``ValueError`` naming the first column (from 1) whose range
+    overflows float64, such as one holding -1e308 and 1e308, which would
+    scale to nan."""
     x = np.asarray(x, dtype=np.float64)
     lo = x.min(axis=0, keepdims=True)
-    span = x.max(axis=0, keepdims=True) - lo
+    with np.errstate(over="ignore"):
+        span = x.max(axis=0, keepdims=True) - lo
+    wide = np.flatnonzero(np.isinf(span))
+    if wide.size:
+        raise ValueError(f"column {wide[0] + 1}: its range overflows float64")
     return (x - lo) / np.where(span == 0.0, 1.0, span)
 
 
@@ -358,7 +366,10 @@ def load_dataset(directory, knn_k=10):
         features_path = directory / f"features_v{v}.csv"
         if not features_path.is_file():
             raise DatasetError(f"missing features file: {features_path.name}")
-        x = min_max_scale(_load_features(features_path, n))
+        try:
+            x = min_max_scale(_load_features(features_path, n))
+        except ValueError as err:
+            raise DatasetError(f"{features_path.name} {err}") from None
         graph_path = directory / f"graph_v{v}.tsv"
         if graph_path.is_file():
             g = _load_edges(graph_path, n, meta["directed"])

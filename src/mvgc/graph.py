@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .nncore.tensor import _row_blocks
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -107,28 +109,80 @@ def hamming_distance(g1, g2):
     return int((g1.adj != g2.adj).nnz)
 
 
+# Two sums of the same d products of unit-vector entries, rounded in any
+# order, each lie within d unit roundoffs of the exact dot product, and the
+# subtraction from 1 rounds once more; so two such distances differ by at
+# most (d + 2) eps, and a gap wider than twice that cannot be reordered.
+# Four times keeps a factor of two to spare.
+_SLACK = 4.0 * np.finfo(np.float64).eps
+
+
 def knn_graph(x, k):
     """Cosine k-nearest-neighbour graph over the rows of ``x``.
 
     Each node links to its k nearest other nodes (ties broken by lower node
     index), self-loops are added, and the result is symmetrized by union.
+
+    The distances are taken a row block at a time, so no n x n array is
+    formed.  A distance is ``1 - u . v`` for the unit rows u and v, summed
+    over the features in order (``_settle``), so identical rows are at
+    identical distances and the tie rule is exact.  A block's matrix product
+    rounds in other orders, so it decides a row's neighbours only where the
+    gap after the row's k-th distance is too wide for rounding to close
+    (``_SLACK``); in the other rows it decides all but the columns within
+    that margin of the k-th distance.  Raises ``ValueError`` for a
+    non-finite feature, on which no distance is defined.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    n, d = x.shape
     if k <= 0:
         raise ValueError("k must be positive")
     if k >= n:
         raise ValueError(f"k={k} must be below the node count {n}")
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite")
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     unit = x / np.where(norms == 0.0, 1.0, norms)
-    dist = 1.0 - unit @ unit.T
-    np.fill_diagonal(dist, np.inf)
-    cols = np.broadcast_to(np.arange(n), (n, n))
-    # stable order: distance first, then node index
-    near = np.lexsort((cols, dist), axis=1)[:, :k].reshape(-1)
+    slack = _SLACK * (d + 2)
     nodes = np.arange(n)
+    near = np.empty((n, k), dtype=np.int64)
+    for block in _row_blocks((n, n)):
+        own = nodes[block]
+        dist = 1.0 - unit[block] @ unit.T
+        dist[np.arange(own.size), own] = np.inf
+        # the k nearest go first, in no order, and the (k+1)-th follows;
+        # k < n, and a row's own distance is the largest
+        ranked = np.argpartition(dist, k, axis=1)
+        near[block] = ranked[:, :k]
+        kth = np.take_along_axis(dist, ranked[:, :k], axis=1).max(axis=1)
+        gap = np.take_along_axis(dist, ranked[:, k:k + 1], axis=1)[:, 0] - kth
+        close = gap <= slack
+        if close.any():
+            near[own[close]] = _settle(unit, own[close], dist[close], kth[close], k, slack)
+    near = near.reshape(-1)
     rows = np.repeat(nodes, k)
     # each neighbour pair in both directions, plus the diagonal
     return Graph.from_edges(
         n, np.concatenate([rows, near, nodes]), np.concatenate([near, rows, nodes])
     )
+
+
+def _settle(unit, own, dist, kth, k, slack):
+    """The k nearest columns of nodes ``own``, whose block distances are
+    ``dist`` and k-th block distances ``kth``.  A column nearer than the
+    k-th by more than ``slack`` is in, and one farther by more than it is
+    out, whatever the summation order; the columns between fill the
+    remaining places in order of their ordered-sum distance, the lower index
+    first among equals."""
+    keep = dist < kth[:, None] - slack
+    for i, node in enumerate(own):
+        band = np.flatnonzero(np.abs(dist[i] - kth[i]) <= slack)
+        # one rounding per product and one per sum, in feature order; a
+        # feature where the node is 0 adds a zero, so it is skipped
+        features = np.flatnonzero(unit[node])
+        products = unit[np.ix_(band, features)] * unit[node, features]
+        dots = (np.cumsum(products, axis=1)[:, -1] if features.size
+                else np.zeros(band.size))
+        places = k - np.count_nonzero(keep[i])
+        keep[i, band[np.argsort(1.0 - dots, kind="stable")[:places]]] = True
+    return np.nonzero(keep)[1].reshape(-1, k)

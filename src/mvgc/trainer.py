@@ -333,31 +333,38 @@ def _check_gradients(state):
             )
 
 
-# glibc's mallopt parameter numbers, the freed heap kept at the top, and
-# the size from which a block gets its own mapping (the upper limit glibc
+# glibc's mallopt parameter numbers, the freed heap kept at the top, the
+# free top that triggers a trim (the largest int mallopt takes), and the
+# size from which a block gets its own mapping (the upper limit glibc
 # documents for it)
+_M_TRIM_THRESHOLD = -1
 _M_TOP_PAD = -2
 _M_MMAP_THRESHOLD = -3
 _TOP_PAD_BYTES = 64 << 20
+_TRIM_THRESHOLD_BYTES = (1 << 31) - 1
 _MMAP_THRESHOLD_BYTES = 32 << 20
 
 
 def _keep_freed_heap():
     """Ask the C allocator to reuse freed arrays instead of returning them to
-    the OS: keep up to 64 MiB of freed heap, and serve blocks below 32 MiB
-    from the heap rather than from a mapping of their own.
+    the OS: keep the freed top of the heap (trim only past 2 GiB of it, and
+    then keep 64 MiB), and serve blocks below 32 MiB from the heap rather
+    than from a mapping of their own.
 
     Every epoch frees its whole tape, most of it during ``backward``.  By
     default glibc hands the top of the heap back to the OS, and the next
     epoch faults the same pages in again: at n=200 (2-vCPU Xeon VM) that
     was about 15k page faults and 35-45 ms of system time per 140 ms epoch.
-    Setting the top pad also stops glibc from adjusting its mmap threshold,
-    which stays wherever earlier frees left it (128 KiB in a fresh process),
-    so an n x 512 or n x n array may be mapped, unmapped and faulted in
-    afresh on every use.  Pinning the threshold at 32 MiB, the upper limit
-    glibc documents and the ceiling of its own dynamic threshold, keeps the
-    n x n arrays up to n of about 2000 on the heap.  A C library without
-    ``mallopt`` keeps its own policy.
+    A 64 MiB top pad alone still trims a larger free top down to 64 MiB, so
+    an n=1600 epoch, whose tape holds about 130 MB, faulted about 9k pages
+    back in each time (a 4-epoch fit: 52-57k minor faults, 26k with the
+    trim threshold set).  Setting either also stops glibc from adjusting its
+    mmap threshold, which stays wherever earlier frees left it (128 KiB in a
+    fresh process), so an n x 512 or n x n array may be mapped, unmapped and
+    faulted in afresh on every use.  Pinning the threshold at 32 MiB, the
+    upper limit glibc documents and the ceiling of its own dynamic
+    threshold, keeps the n x n arrays up to n of about 2000 on the heap.  A
+    C library without ``mallopt`` keeps its own policy.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -366,6 +373,7 @@ def _keep_freed_heap():
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 

@@ -198,6 +198,28 @@ def test_misspelled_meta_key_exits_two_before_training(tmp_path, capsys, monkeyp
     assert not (tmp_path / "run").exists()
 
 
+def test_a_feature_range_that_overflows_exits_two_before_training(
+        tmp_path, capsys, monkeypatch):
+    # with no graph file, the kNN graph would be built from nan features,
+    # and the first epoch's loss would be nan
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "meta").write_text("n=12\nV=1\nc=2\n")
+    x = np.random.default_rng(0).random((12, 3))
+    x[0, 1], x[1, 1] = 1e308, -1e308
+    np.savetxt(data / "features_v1.csv", x, delimiter=",", fmt="%.17g")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "fit", no_training)
+    assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
+                 "--knn-k", "3", *FAST_FLAGS]) == 2
+    assert ("features_v1.csv column 2: its range overflows float64"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_repeated_config_key_exits_two_before_training(tmp_path, capsys, monkeypatch):
     data = synth(tmp_path)
     conf = tmp_path / "run.conf"

@@ -136,6 +136,15 @@ def test_min_max_scale_collapses_constant_columns_to_zero():
     assert np.array_equal(min_max_scale(x)[:, 0], [0.0, 0.0])
 
 
+def test_min_max_scale_names_a_column_whose_range_overflows():
+    x = np.array([[0.0, 1e308], [1.0, -1e308], [0.5, 0.0]])
+    with pytest.raises(ValueError, match=r"^column 2: its range overflows float64$"):
+        min_max_scale(x)
+    # a range just inside float64 still scales
+    scaled = min_max_scale([[-8e307], [8e307]])
+    assert scaled[:, 0].tolist() == [0.0, 1.0]
+
+
 def test_generate_sbm_balances_cluster_sizes():
     dataset = generate_sbm(n=10, c=3, V=2, p_in=0.8, p_out=0.1, seed=0)
     counts = np.bincount(dataset.labels)
@@ -391,6 +400,15 @@ def test_load_rejects_knn_k_not_below_the_node_count(tmp_path):
     with pytest.raises(DatasetError, match=r"graph_v1\.tsv is missing"):
         load_dataset(tmp_path, knn_k=4)
     assert load_dataset(tmp_path, knn_k=3).n == 4
+
+
+def test_load_names_the_file_and_column_whose_range_overflows(tmp_path):
+    (tmp_path / "meta").write_text("n=3\nV=1\nc=2\n")
+    (tmp_path / "features_v1.csv").write_text("0.1,1e308\n0.3,-1e308\n0.5,0\n")
+    with pytest.raises(
+        DatasetError, match=r"^features_v1\.csv column 2: its range overflows float64$"
+    ):
+        load_dataset(tmp_path, knn_k=1)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])

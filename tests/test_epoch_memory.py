@@ -27,11 +27,17 @@ def test_epoch_memory_reports_each_phase_and_the_epoch_peak():
     assert lines[0] == "n=64 views=2 epoch=1"
     rows = [line.split("\t") for line in lines[1:]]
     peaks = {row[0]: float(row[1]) for row in rows[:-3]}
-    for phase in ("eval pass", "k-means", "prior", "forward sample_consensus",
-                  "forward adjacency_nll", "forward soft_assignment",
+    for phase in ("eval pass", "eval fuse", "k-means", "prior",
+                  "forward sample_consensus", "forward adjacency_nll",
+                  "forward fuse", "forward soft_assignment",
                   "backward soft_assignment", "backward normalize_consensus",
                   "adam"):
         assert phase in peaks
+    # prepare_epoch fuses for k-means before it runs it; build_loss fuses
+    # after the prior
+    order = list(peaks)
+    assert order.index("eval pass") < order.index("eval fuse") < order.index("k-means")
+    assert order.index("prior") < order.index("forward fuse")
     assert all(peak >= 0.0 for peak in peaks.values())
     label, peak, top = rows[-3]
     assert label == "epoch_peak_mb"

@@ -131,6 +131,14 @@ def test_knn_graph_prefers_lower_index_on_ties():
     assert g.adj[3, 0] == 1.0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_knn_graph_rejects_a_non_finite_feature(value):
+    x = np.zeros((4, 2))
+    x[2, 1] = value
+    with pytest.raises(ValueError, match="features must be finite"):
+        knn_graph(x, k=1)
+
+
 def test_knn_graph_validates_k():
     x = np.zeros((4, 2))
     with pytest.raises(ValueError):

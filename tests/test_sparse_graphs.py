@@ -9,13 +9,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 from mvgc.dataio import MultiViewDataset, _load_edges, save_dataset
 from mvgc.graph import Graph, hamming_distance, knn_graph
-from mvgc.nncore import Parameter, backward
+from mvgc.nncore import Parameter, backward, tensor
 from mvgc.nncore.tensor import BCE_CLAMP, _bce_terms
 from mvgc.vargen import (
     _DECIDED_LOGIT,
@@ -40,7 +41,13 @@ def _dense_knn(x, k):
     n = x.shape[0]
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     unit = x / np.where(norms == 0.0, 1.0, norms)
-    dist = 1.0 - unit @ unit.T
+    # the cosines summed feature by feature in order, so that identical rows
+    # are at identical distances; unit @ unit.T may round two entries of
+    # identical rows apart, and then its order contradicts the tie rule
+    dot = np.zeros((n, n))
+    for column in unit.T:
+        dot += np.outer(column, column)
+    dist = 1.0 - dot
     np.fill_diagonal(dist, np.inf)
     adj = np.zeros((n, n))
     cols = np.broadcast_to(np.arange(n), (n, n))
@@ -125,17 +132,31 @@ def test_loaded_edges_match_the_dense_loader(n_lines, directed, spelling):
     assert np.array_equal(g.adj.toarray(), _dense_load_edges(lines, n, directed))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
-    st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 3),
-    st.booleans(), st.data(),
+    st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 8),
+    st.sampled_from(["normal", "integers", "repeats"]), st.integers(1, 39),
+    st.sampled_from([1, 3, None]),
 )
-def test_knn_graph_matches_the_dense_builder(seed, n, d, ties, data):
+# repeated rows that the n x n product puts at different distances
+@example(seed=39, n=12, d=3, kind="repeats", k=2, rows=None)
+@example(seed=11, n=20, d=3, kind="repeats", k=3, rows=1)
+# distances that the block product and the ordered sums round apart
+@example(seed=4, n=14, d=3, kind="integers", k=3, rows=None)
+@example(seed=6, n=16, d=5, kind="integers", k=2, rows=1)
+def test_knn_graph_matches_the_dense_builder(seed, n, d, kind, k, rows):
     rng = np.random.default_rng(seed)
-    # small integer features repeat points and distances, so ties abound
-    x = rng.integers(0, 3, size=(n, d)) if ties else rng.normal(size=(n, d))
-    k = data.draw(st.integers(1, n - 1))
-    g = knn_graph(x, k)
+    # small integer features repeat points and distances, so ties abound;
+    # repeated and zero rows put exact ties at the k-th distance
+    x = rng.integers(0, 3, size=(n, d)) if kind == "integers" else rng.normal(size=(n, d))
+    if kind == "repeats":
+        x[rng.integers(0, n, size=n // 2)] = x[rng.integers(0, n, size=n // 2)]
+        x[rng.integers(0, n, size=n // 8)] = 0.0
+    k = min(k, n - 1)
+    # a block of one row, of a few rows, or of every row
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor, "_BLOCK_ENTRIES", (rows or n) * n)
+        g = knn_graph(x, k)
     assert g.adj.has_canonical_format and (g.adj.data == 1.0).all()
     assert np.array_equal(g.adj.toarray(), _dense_knn(x, k))
 
