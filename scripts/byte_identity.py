@@ -7,9 +7,10 @@ fixed-seed ``mvgc synth`` and then ``mvgc cluster --export-embeddings
 --export-consensus`` on the three benchmark workload shapes, and every
 ``mvgc verify`` suite at seeds 0 and 3.  Datasets, run directories, standard
 output and exit codes land in WORK/parent and WORK/change, and the two are
-compared file by file.  Exit status 0 means no difference; 1 names the first
-file that differs.  WORK defaults to a temporary directory, removed at the
-end; a given one is kept.
+compared file by file.  Exit status 0 means every run exited 0 and no file
+differs; 1 names the first run, on either side, that exited non-zero, or
+else the first file that differs.  WORK defaults to a temporary directory,
+removed at the end; a given one is kept.
 """
 
 import argparse
@@ -91,6 +92,26 @@ def first_difference(a, b):
     return None
 
 
+def failed_runs(root):
+    """The logs directly in ``root``, sorted, whose run exited non-zero: the
+    last line of each log is the run's ``exit N``."""
+    return [
+        log.name for log in sorted(Path(root).glob("*.txt"))
+        if log.read_bytes().splitlines()[-1] != b"exit 0"
+    ]
+
+
+def verdict(parent, change):
+    """None when every run in output directories ``parent`` and ``change``
+    exited 0 and the two hold the same bytes; otherwise a line naming the
+    first failed run, the parent's first, or else the first difference."""
+    for label, root in (("parent", parent), ("change", change)):
+        failed = failed_runs(root)
+        if failed:
+            return f"{label} run failed: {failed[0]}"
+    return first_difference(parent, change)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path,
@@ -107,7 +128,7 @@ def main(argv=None):
     try:
         for label, tree in (("parent", args.parent), ("change", args.change)):
             run_tree(tree, work / label)
-        difference = first_difference(work / "parent", work / "change")
+        difference = verdict(work / "parent", work / "change")
     finally:
         if args.work is None:
             shutil.rmtree(work)

@@ -181,6 +181,8 @@ def kmeans(z, c, seed=0, restarts=10, max_iter=300, tol=1e-6):
         raise ValueError(f"cannot form {c} clusters from {n} points")
     if c <= 0:
         raise ValueError("cluster count must be positive")
+    if restarts <= 0:
+        raise ValueError("restarts must be positive")
     z_sq = (z * z).sum(axis=1)
     rngs = [
         np.random.default_rng(child)
@@ -238,8 +240,6 @@ def soft_assignment(z, centroids):
     kernel = shifted ** -1.0
     k_sum = kernel.sum(axis=1, keepdims=True)
     q = Tensor(kernel / k_sum)
-    if not _tracked(z):
-        return q
 
     def grad_fn(g):
         g_sum = _unbroadcast(-g * kernel / (k_sum * k_sum), k_sum.shape)

@@ -126,6 +126,8 @@ class RunConfig:
             raise ValueError("epochs/hidden/embed_dim out of range")
         if self.knn_k <= 0 or self.restarts <= 0:
             raise ValueError("knn_k and restarts must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 # name -> dataclasses.Field of every RunConfig knob, in declaration order

@@ -117,10 +117,7 @@ def _layer(h, w, b, activation, rate, rng):
         keep = _keep_mask(y.shape, rate, rng)
         y = act * keep if activation == "sigmoid" else np.multiply(act, keep, out=act)
         y *= scale
-    out = Tensor(y)
     th, tw, tb = _tracked(h), _tracked(w), _tracked(b)
-    if not (th or tw or tb):
-        return out
 
     def grad_fn(g):
         if keep is not None:
@@ -137,7 +134,7 @@ def _layer(h, w, b, activation, rate, rng):
         if tw:
             yield w, h.value.T @ g, True
 
-    return _record(out, (h, w, b), grad_fn)
+    return _record(Tensor(y), (h, w, b), grad_fn)
 
 
 def mlp_apply(params, spec, x, rng=None):

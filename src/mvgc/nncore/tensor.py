@@ -22,8 +22,7 @@ replaces it, so its intermediates never reach the tape:
 - in ``mvgc.vargen``: the concrete sample, which also forms the posterior
   logits K Q^T in the buffer that becomes the sample, so neither the logits
   nor the noise reach the tape; its row normalization, which forms the row
-  term of its backward a row block at a time; and the adjacency
-  likelihood, which keeps the sparse graph rather than a dense adjacency;
+  term of its backward a row block at a time;
 - in ``mvgc.cluster``: the fusion, which keeps no scaled copy of a view, and
   the soft assignment, which keeps z and n x c arrays but not z * z.
 
@@ -35,14 +34,16 @@ before the next is made.  A pair may carry a third item, True, when its
 function made the array for that pair alone and keeps no other use of it:
 the array is handed over, and the walk may add later pairs into it.
 
-The clamped BCE has one home: ``_bce_terms`` gives its per-entry terms and
-``_bce_slope`` their clamp-blocked slope, for ``binary_cross_entropy`` here
-and for the adjacency likelihood in ``mvgc.vargen``.
+Every op records its node through ``_record``, which attaches it only when
+a parent is tracked.  An op asks ``_tracked`` first only to skip work that
+serves the backward alone, such as forming a mask.
 
-A node whose gradient is zero by construction need not be recorded at
-all: the adjacency likelihood records none when the BCE clamp decides every
-entry, that is when every |logit| lies beyond logit(1 - clamp) + 1, and it
-then computes its value from per-entry constants.
+The clamped BCE has one home, ``binary_cross_entropy``; its per-entry terms
+``_bce_terms`` also give the adjacency likelihood in ``mvgc.vargen`` the
+constant term of an entry the clamp decides.  That likelihood is the
+sigmoid -> BCE chain unless the clamp decides every entry, that is unless
+every |logit| lies beyond logit(1 - clamp) + 1; then its gradient is zero
+by construction, and it records no node and sums per-entry constants.
 
 ``backward`` consumes the tape node by node: once a node has passed its
 gradient on, its closure and parent links are dropped, so each intermediate
@@ -59,6 +60,7 @@ Everything is float64.  Given identical inputs and seeds the forward values
 and gradients are bit-identical across runs.
 """
 
+import operator
 from contextlib import contextmanager
 
 import numpy as np
@@ -238,78 +240,46 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def add(a, b):
+def _binary(op, a, b, slope_a, slope_b):
+    """``op(a, b)`` for Tensors or arrays under numpy broadcasting, as one
+    tape node: ``slope_a(g, av, bv)`` and ``slope_b(g, av, bv)`` give the
+    gradients of a and b for the output gradient g, each summed back to its
+    operand's shape."""
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value + b.value)
+    out = Tensor(op(a.value, b.value))
     ta, tb = _tracked(a), _tracked(b)
-    if not (ta or tb):
-        return out
 
     def grad_fn(g):
+        av, bv = a.value, b.value
         pairs = []
         if ta:
-            pairs.append((a, _unbroadcast(g, a.value.shape)))
+            pairs.append((a, _unbroadcast(slope_a(g, av, bv), av.shape)))
         if tb:
-            pairs.append((b, _unbroadcast(g, b.value.shape)))
+            pairs.append((b, _unbroadcast(slope_b(g, av, bv), bv.shape)))
         return pairs
 
     return _record(out, (a, b), grad_fn)
+
+
+def add(a, b):
+    return _binary(operator.add, a, b, lambda g, av, bv: g, lambda g, av, bv: g)
 
 
 def sub(a, b):
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value - b.value)
-    ta, tb = _tracked(a), _tracked(b)
-    if not (ta or tb):
-        return out
-
-    def grad_fn(g):
-        pairs = []
-        if ta:
-            pairs.append((a, _unbroadcast(g, a.value.shape)))
-        if tb:
-            pairs.append((b, _unbroadcast(-g, b.value.shape)))
-        return pairs
-
-    return _record(out, (a, b), grad_fn)
+    return _binary(operator.sub, a, b, lambda g, av, bv: g, lambda g, av, bv: -g)
 
 
 def mul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value * b.value)
-    ta, tb = _tracked(a), _tracked(b)
-    if not (ta or tb):
-        return out
-
-    def grad_fn(g):
-        pairs = []
-        if ta:
-            pairs.append((a, _unbroadcast(g * b.value, a.value.shape)))
-        if tb:
-            pairs.append((b, _unbroadcast(g * a.value, b.value.shape)))
-        return pairs
-
-    return _record(out, (a, b), grad_fn)
+    return _binary(
+        operator.mul, a, b, lambda g, av, bv: g * bv, lambda g, av, bv: g * av
+    )
 
 
 def div(a, b):
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value / b.value)
-    ta, tb = _tracked(a), _tracked(b)
-    if not (ta or tb):
-        return out
-
-    def grad_fn(g):
-        pairs = []
-        if ta:
-            pairs.append((a, _unbroadcast(g / b.value, a.value.shape)))
-        if tb:
-            pairs.append(
-                (b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-            )
-        return pairs
-
-    return _record(out, (a, b), grad_fn)
+    return _binary(
+        operator.truediv, a, b,
+        lambda g, av, bv: g / bv, lambda g, av, bv: -g * av / (bv * bv),
+    )
 
 
 def neg(a):
@@ -326,8 +296,6 @@ def matmul(a, b):
         )
     out = Tensor(a.value @ b.value)
     ta, tb = _tracked(a), _tracked(b)
-    if not (ta or tb):
-        return out
 
     def grad_fn(g):
         if ta:
@@ -427,14 +395,6 @@ def _bce_terms(target, p):
     return -(target * np.log(q) + (1.0 - target) * np.log1p(-q))
 
 
-def _bce_slope(g, target, p):
-    """``g`` times the slope of ``_bce_terms`` in ``p``: zero where the clamp
-    engaged."""
-    q = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    inside = (p >= BCE_CLAMP) & (p <= 1.0 - BCE_CLAMP)
-    return g * inside * ((q - target) / (q * (1.0 - q)))
-
-
 def binary_cross_entropy(target, prediction):
     """Summed BCE between a constant target in [0,1] and predicted probabilities.
 
@@ -446,10 +406,15 @@ def binary_cross_entropy(target, prediction):
     target = np.asarray(target, dtype=np.float64)
     pred = _wrap(prediction)
     out = Tensor(_bce_terms(target, pred.value).sum())
-    # the clamped copy is recomputed in the backward rather than kept
-    return _record(
-        out, (pred,), lambda g: ((pred, _bce_slope(g, target, pred.value)),)
-    )
+
+    def grad_fn(g):
+        # the clamped copy is recomputed here rather than kept
+        p = pred.value
+        q = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+        inside = (p >= BCE_CLAMP) & (p <= 1.0 - BCE_CLAMP)
+        return ((pred, g * inside * ((q - target) / (q * (1.0 - q)))),)
+
+    return _record(out, (pred,), grad_fn)
 
 
 def _entropy_terms(v):
@@ -474,8 +439,6 @@ def bernoulli_entropy(p):
     a = _wrap(p)
     v = a.value
     out = Tensor(-_entropy_terms(v).sum())
-    if not _tracked(a):
-        return out
 
     def grad_fn(g):
         # g (log(1 - v) - log v)

@@ -7,6 +7,9 @@ sampled through the binary-concrete relaxation so gradients reach the
 posterior net.  The ELBO combines per-view adjacency likelihoods (each view's
 decoder logits, ``decode_adjacency``, scored by ``adjacency_nll``), the
 entropy of the relaxed sample, and a closed-form upper bound on the KL term.
+A likelihood is the plain sigmoid -> BCE chain, unless the BCE clamp decides
+every entry: then it is a constant summed from per-entry terms, and the
+logits leave no node on the tape.
 """
 
 from dataclasses import dataclass
@@ -19,12 +22,12 @@ from .nncore import (
     Parameter,
     Tensor,
     bernoulli_entropy,
+    binary_cross_entropy,
     init_params,
     mlp_apply,
 )
 from .nncore.tensor import (
-    BCE_CLAMP, _bce_slope, _bce_terms, _record, _row_blocks, _tracked,
-    _unbroadcast, _wrap,
+    BCE_CLAMP, _bce_terms, _record, _row_blocks, _tracked, _unbroadcast, _wrap,
 )
 
 # the relaxed sample is nudged this far off exact 0 and 1
@@ -181,8 +184,6 @@ def normalize_consensus(s):
     sv = s.value
     r = sv.sum(axis=1, keepdims=True)
     out = Tensor(sv / r)
-    if not _tracked(s):
-        return out
 
     def grad_fn(g):
         g_r = np.empty_like(r)
@@ -216,59 +217,47 @@ def decode_adjacency(z):
 # [clamp, 1 - clamp] by a margin that dwarfs expit's rounding, so the clip
 # decides the entry
 _DECIDED_LOGIT = float(special.logit(1.0 - BCE_CLAMP)) + 1.0
-# the term of a decided entry is the term at an infinite logit: row 0 for a
-# negative logit and row 1 for a positive one, column 0 for a non-edge and
-# column 1 for an edge
+# the term of a decided entry is the term at an infinite logit, at index
+# (sign bit << 1) | edge bit: a negative logit's non-edge and edge, then a
+# positive logit's
 _DECIDED_TERMS = _bce_terms(
-    np.array([[0.0, 1.0]]), special.expit(np.array([[-np.inf], [np.inf]]))
+    np.array([0.0, 1.0, 0.0, 1.0]),
+    special.expit(np.array([-np.inf, -np.inf, np.inf, np.inf])),
 )
 
 
 def adjacency_nll(graph, logits):
     """Summed BCE of a Graph's 0/1 adjacency under the decoder
-    sigmoid(logits), the probabilities clamped into [BCE_CLAMP,
-    1 - BCE_CLAMP]; the gradient is blocked where the clamp engaged.  The
-    terms and their slope are ``binary_cross_entropy``'s own
-    (``nncore.tensor._bce_terms`` and ``_bce_slope``), fed the sigmoid.
+    sigmoid(logits): ``binary_cross_entropy`` of the dense adjacency and
+    ``logits.sigmoid()``, its probabilities clamped into [BCE_CLAMP,
+    1 - BCE_CLAMP] and its gradient blocked where the clamp engaged.  That
+    chain keeps the logits, their sigmoid and the dense adjacency on the
+    tape.
 
     Decided entries: where |logit| exceeds ``_DECIDED_LOGIT`` (about 17.1),
     the clamp alone sets the entry's term, and its gradient is zero.  When
-    every entry is decided (an infinite logit is; a NaN is not), the node
-    sums the terms from ``_DECIDED_TERMS``, indexed by the sign of each
-    logit and, from the graph's edges, whether the entry is an edge, and
-    laid out as the chain lays out its own.  It returns the sum untracked:
-    no tape node, no backward, and no sigmoid or log over the n x n logits.
-    Otherwise it densifies the adjacency, runs the full sigmoid -> clip ->
-    BCE chain and records one node, which keeps only the logits and the
-    sparse graph and recomputes the sigmoid and the dense adjacency in its
-    backward.  Both paths give the chain's value bit for bit, and the
-    recorded one its gradient too.
+    every entry is decided (an infinite logit is; a NaN is not), the sum
+    comes from ``_DECIDED_TERMS`` instead, indexed by the sign of each logit
+    and, from the graph's edges, whether the entry is an edge, through one
+    uint8 array built in place of the sign mask.  The terms are summed in
+    the chain's n x n layout, untracked: no tape node, no backward, and no
+    sigmoid or log over the n x n logits.  The value is the chain's bit for
+    bit.
     """
     logits = _wrap(logits)
     lv = logits.value
     positive = lv > _DECIDED_LOGIT
     decided = lv < -_DECIDED_LOGIT
     decided |= positive
-    if decided.all():
-        del decided
-        # each entry's term from the table: its row by the sign of the logit,
-        # its column by whether the entry is an edge
-        terms = np.full(lv.shape, _DECIDED_TERMS[0, 0])
-        np.copyto(terms, _DECIDED_TERMS[1, 0], where=positive)
-        edges = np.ravel_multi_index(graph.edges(), lv.shape)
-        terms.reshape(-1)[edges] = np.where(
-            positive.reshape(-1)[edges], _DECIDED_TERMS[1, 1], _DECIDED_TERMS[0, 1]
-        )
-        return Tensor(terms.sum())
-    del positive, decided
-    out = Tensor(_bce_terms(graph.adj.toarray(), special.expit(lv)).sum())
-
-    def grad_fn(g):
-        a_hat = special.expit(logits.value)
-        g = _bce_slope(g, graph.adj.toarray(), a_hat)
-        return ((logits, g * a_hat * (1.0 - a_hat)),)
-
-    return _record(out, (logits,), grad_fn)
+    if not decided.all():
+        return binary_cross_entropy(graph.adj.toarray(), logits.sigmoid())
+    del decided
+    index = positive.view(np.uint8)
+    index <<= 1
+    index[graph.edges()] |= 1
+    # indexing casts the uint8 index a buffer at a time, where take would
+    # first copy it whole to intp
+    return Tensor(_DECIDED_TERMS[index].sum())
 
 
 def elbo_loss(likelihood, s, kl_bound):

@@ -18,9 +18,9 @@ def _tree(root):
 
 
 def test_identical_trees_show_no_difference(tmp_path):
-    assert byte_identity.first_difference(
-        _tree(tmp_path / "a"), _tree(tmp_path / "b")
-    ) is None
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    assert byte_identity.first_difference(a, b) is None
+    assert byte_identity.verdict(a, b) is None
 
 
 def test_one_changed_byte_names_its_file(tmp_path):
@@ -34,3 +34,20 @@ def test_a_file_on_one_side_only_is_a_difference(tmp_path):
     (a / "run" / "zbar.tsv").write_text("0\t1\n")
     assert byte_identity.first_difference(a, b) == f"run/zbar.tsv: only in {a}"
     assert byte_identity.first_difference(b, a) == f"run/zbar.tsv: only in {a}"
+
+
+def test_a_run_that_fails_on_both_sides_fails_the_check(tmp_path):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    for root in (a, b):
+        (root / "knn_n600_v3.cluster.txt").write_text("exit 1\n")
+    assert byte_identity.first_difference(a, b) is None
+    assert byte_identity.failed_runs(a) == ["knn_n600_v3.cluster.txt"]
+    assert byte_identity.verdict(a, b) == (
+        "parent run failed: knn_n600_v3.cluster.txt"
+    )
+
+
+def test_a_run_that_fails_on_the_change_side_only_is_named(tmp_path):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    (b / "verify.gradients.0.txt").write_text("3/4 checks passed\nexit 1\n")
+    assert byte_identity.verdict(a, b) == "change run failed: verify.gradients.0.txt"

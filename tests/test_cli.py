@@ -251,6 +251,29 @@ def test_consensus_threshold_outside_the_unit_interval_exits_two_before_loading(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_negative_seed_exits_two_before_loading(
+    tmp_path, capsys, monkeypatch, source
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("loading or training started")
+
+    monkeypatch.setattr(cli, "load_dataset", unreachable)
+    monkeypatch.setattr(cli, "fit", unreachable)
+    argv = ["cluster", str(tmp_path / "data"), "--out", str(tmp_path / "run")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+        message = "error: seed must be nonnegative"
+    else:
+        conf = tmp_path / "run.conf"
+        conf.write_text("epochs=3\nseed=-1\n")
+        argv += ["--config", str(conf)]
+        message = "error: run.conf line 2: seed must be nonnegative"
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_python_dash_m_runs_the_cli():
     result = subprocess.run(
         [sys.executable, "-m", "mvgc", "--help"],

@@ -74,6 +74,13 @@ def test_kmeans_validates_cluster_count():
         kmeans(z, 4, seed=0)
 
 
+def test_kmeans_names_a_restart_count_below_one():
+    z = np.zeros((3, 2))
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts must be positive"):
+            kmeans(z, 2, seed=0, restarts=restarts)
+
+
 def _reference_kmeans(z, c, seed=0, restarts=10, max_iter=300, tol=1e-6):
     """k-means with the restarts run one after another, each reading z for
     every seeding step and every Lloyd step: the oracle for ``kmeans``."""

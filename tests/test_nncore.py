@@ -1,6 +1,7 @@
 """Autodiff core: op gradients, MLP behavior, the optimizer."""
 
 import gc
+import operator
 import weakref
 
 import numpy as np
@@ -61,6 +62,25 @@ def test_elementwise_ops_pass_finite_differences():
         return (out.clip(0.1, 50.0)).sum()
 
     assert grad_check(loss_fn, [x, y], h=1e-6, max_entries=12) < 1e-8
+
+    # each binary op under broadcasting: (n, d) against (1, d) and against a
+    # 0-d operand, either way round, and a plain array on the left
+    wide = Parameter(rng.uniform(0.3, 0.9, size=(4, 3)))
+    row = Parameter(rng.uniform(0.3, 0.9, size=(1, 3)))
+    scalar = Parameter(np.array(0.6))
+    plain = rng.uniform(0.3, 0.9, size=(4, 3))
+    weights = rng.normal(size=(4, 3))
+    operands = [(wide, row), (row, wide), (wide, scalar), (scalar, wide),
+                (plain, wide), (plain, row), (plain, scalar)]
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right in operands:
+            params = [t for t in (left, right) if isinstance(t, Parameter)]
+            pairs = op(left, right)._grad_fn(weights)
+            assert [p for p, _ in pairs] == params
+            assert [g.shape for _, g in pairs] == [p.shape for p in params]
+            assert grad_check(
+                lambda: (op(left, right) * weights).sum(), params, h=1e-6
+            ) < 1e-8
 
 
 def test_transpose_and_axis_sum_gradients():

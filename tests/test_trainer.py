@@ -183,13 +183,13 @@ def _square_tape_arrays(dataset, config, decoder_scale=1.0):
     ]
 
 
-def test_the_tape_holds_two_plus_v_square_float_arrays():
+def test_the_tape_holds_two_plus_three_v_square_float_arrays():
     # the toy's decoder is not saturated: its smallest |logit| is about 1.2,
-    # so every view's likelihood node keeps its logits, and the sparse graph
-    # rather than a dense adjacency
+    # so every view's likelihood is the sigmoid -> BCE chain, which keeps the
+    # logits, their sigmoid and the dense adjacency
     dataset = toy_dataset()
     square = _square_tape_arrays(dataset, toy_config(dropout=0.3))
-    assert len(square) == 2 + dataset.num_views
+    assert len(square) == 2 + 3 * dataset.num_views
 
 
 def test_a_saturated_decoder_leaves_no_square_array_on_the_tape():
