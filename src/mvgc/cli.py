@@ -120,6 +120,8 @@ def _cmd_synth(args):
 
 
 def _cmd_verify(args):
+    if args.seed < 0:
+        raise DatasetError(f"--seed {args.seed} must be nonnegative")
     checks = run_suite(args.suite, seed=args.seed)
     for check in checks:
         print(format_check(check))

@@ -13,6 +13,7 @@ hands its inputs the gradient pairs of the primitive chain it replaces, in
 that chain's order, so gradients come out bit for bit as the chain's.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,8 +204,8 @@ def kmeans(z, c, seed=0, restarts=10, max_iter=300, tol=1e-6):
 def update_beliefs(pseudo_labels, clusterings, rho):
     """One float per view: the agreement of its own clustering with the
     pseudo labels, normalized by the best view's and softened by exponent rho."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not 0 <= rho < math.inf:
+        raise ValueError("rho must be nonnegative and finite")
     scores = np.array([nmi(pseudo_labels, labels) for labels in clusterings])
     top = scores.max()
     if top <= 0.0:

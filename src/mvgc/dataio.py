@@ -62,7 +62,8 @@ class MultiViewDataset:
         for x, g in self.views:
             if x.shape[0] != n or g.n != n:
                 raise ValueError("views disagree on node count")
-            if x.min() < 0.0 or x.max() > 1.0:
+            # min and max propagate nan, which then fails both comparisons
+            if not (x.min() >= 0.0 and x.max() <= 1.0):
                 raise ValueError("features must lie in [0, 1]")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("label count does not match node count")

@@ -107,15 +107,9 @@ def encode_view(x_v, specific_v, s_norm, enc, order):
     return mlp_apply(enc.f_params, enc.f_spec, concat([specific_v, consensus]))
 
 
-def _check_unit_interval(x, what):
-    x = np.asarray(x)
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise ValueError(f"{what} must be scaled into [0, 1] before BCE")
-
-
 def reconstruction_loss(x_v, z_v, enc):
-    """BCE between the view's features and their decoding from z_v."""
-    _check_unit_interval(x_v, "view features")
+    """BCE between the view's features and their decoding from z_v; the
+    dataset holds the features in [0, 1]."""
     decoded = mlp_apply(enc.dec_params, enc.dec_spec, z_v)
     return binary_cross_entropy(np.asarray(x_v, dtype=np.float64), decoded)
 
@@ -123,6 +117,5 @@ def reconstruction_loss(x_v, z_v, enc):
 def reconstruction_loss_global(x_global, q_embed, dec):
     """BCE between the global features and their decoding from the query
     embedding."""
-    _check_unit_interval(x_global, "global features")
     decoded = mlp_apply(dec.params, dec.spec, q_embed)
     return binary_cross_entropy(np.asarray(x_global, dtype=np.float64), decoded)

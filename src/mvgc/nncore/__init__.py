@@ -1,6 +1,10 @@
 """Deterministic differentiable-numerics substrate: tensors with reverse-mode
 gradients, MLPs with dropout, seeded init, adaptive-moment updates.
 
+Every tape op is a ``Tensor`` method.  The functions exported here that
+build tape nodes are the nodes no method covers (``concat``, the fused BCE
+and entropy, ``mlp_apply``) and ``dropout``, the MLP layer's reference chain.
+
 An ``OptimizerState`` keeps its parameters' values and gradients in one flat
 store, each ``Parameter.value`` and ``.grad`` a view of it.  Code that holds
 the optimizer writes those arrays in place and never rebinds them, and

@@ -82,12 +82,13 @@ def _keep_mask(shape, rate, rng):
 
 def _inverted(keep, rate):
     """Inverted-dropout multiplier of a keep mask: 0 for a dropped entry,
-    1/(1-rate) else."""
+    1/(1-rate) else.  Used only by ``dropout``, the layer's reference."""
     return keep / (1.0 - rate)
 
 
 def dropout(x, rate, rng):
-    """Inverted dropout: zero a ``rate`` fraction and rescale the survivors."""
+    """Inverted dropout: zero a ``rate`` fraction and rescale the survivors.
+    The reference chain of the dropout that ``_layer`` fuses."""
     return x * _inverted(_keep_mask(x.value.shape, rate, rng), rate)
 
 

@@ -3,9 +3,12 @@
 A Tensor wraps a numpy array together with an optional tape node.  Every
 operation that touches a tracked input records its parents and a closure
 mapping the output gradient to input gradients; ``backward`` walks that
-dynamic tape once in reverse topological order.  Only the operations the
-pipeline needs are implemented; broadcasting is supported for elementwise ops
-and bias rows, nothing fancier.
+dynamic tape once in reverse topological order.  Each op is one ``Tensor``
+method, its only definition; an ndarray or a number may stand on the left of
+``+``, ``-`` and ``*`` only.  Broadcasting is supported for elementwise ops
+and bias rows, nothing fancier.  ``relu``, ``clip``, ``/``, ``**`` and
+``sum`` over an axis serve only the reference chains that tests check fused
+nodes against bit for bit; each names its node.
 
 A gradient closure keeps only what its own backward reads: its parents and
 the plain arrays it needs.  It never captures the output Tensor it is
@@ -35,8 +38,8 @@ function made the array for that pair alone and keeps no other use of it:
 the array is handed over, and the walk may add later pairs into it.
 
 Every op records its node through ``_record``, which attaches it only when
-a parent is tracked.  An op asks ``_tracked`` first only to skip work that
-serves the backward alone, such as forming a mask.
+a parent is tracked.  The concrete sample alone asks ``_tracked`` first, to
+skip forming a mask that serves the backward alone.
 
 The clamped BCE has one home, ``binary_cross_entropy``; its per-entry terms
 ``_bce_terms`` also give the adjacency likelihood in ``mvgc.vargen`` the
@@ -80,8 +83,9 @@ class Tensor:
 
     __slots__ = ("value", "grad", "_parents", "_grad_fn", "__weakref__")
 
-    # keep numpy from elementwise-broadcasting over Tensor operands; binary
-    # ops with an ndarray on the left must fall back to our reflected methods
+    # keep numpy from elementwise-broadcasting over Tensor operands: an
+    # ndarray on the left of + - * falls back to the reflected method, and
+    # on the left of / or @ raises TypeError
     __array_ufunc__ = None
 
     requires_grad = False
@@ -102,64 +106,101 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, other)
+        return _binary(
+            operator.add, self, other, lambda g, av, bv: g, lambda g, av, bv: g
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, other)
+        return _binary(
+            operator.sub, self, other, lambda g, av, bv: g, lambda g, av, bv: -g
+        )
 
     def __rsub__(self, other):
-        return sub(other, self)
+        return _wrap(other) - self
 
     def __mul__(self, other):
-        return mul(self, other)
+        return _binary(
+            operator.mul, self, other,
+            lambda g, av, bv: g * bv, lambda g, av, bv: g * av,
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
+        # reference chain of the row normalization and the soft assignment
+        return _binary(
+            operator.truediv, self, other,
+            lambda g, av, bv: g / bv, lambda g, av, bv: -g * av / (bv * bv),
+        )
 
     def __matmul__(self, other):
-        return matmul(self, other)
+        a, b = self, _wrap(other)
+        if a.value.ndim != 2 or b.value.ndim != 2:
+            raise ValueError(
+                f"matmul expects 2-d operands, got {a.value.shape} @ {b.value.shape}"
+            )
+        out = Tensor(a.value @ b.value)
+        ta, tb = _tracked(a), _tracked(b)
 
-    def __rmatmul__(self, other):
-        return matmul(other, self)
+        def grad_fn(g):
+            if ta:
+                yield a, g @ b.value.T, True
+            if tb:
+                yield b, a.value.T @ g, True
+
+        return _record(out, (a, b), grad_fn)
 
     def __pow__(self, exponent):
-        return power(self, exponent)
+        # reference chain of the soft assignment's Student-t kernel
+        p = float(exponent)
+        out = Tensor(self.value ** p)
+        return _record(
+            out, (self,), lambda g: ((self, g * p * self.value ** (p - 1.0)),)
+        )
 
     # -- shape and reductions -----------------------------------------------
 
     @property
     def T(self):
-        return transpose(self)
+        out = Tensor(self.value.T.copy())
+        return _record(out, (self,), lambda g: ((self, g.T),))
 
     def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+        # axis, keepdims: reference chains of row normalization, soft assignment
+        out = Tensor(self.value.sum(axis=axis, keepdims=keepdims))
+
+        def grad_fn(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return ((self, np.broadcast_to(g, self.value.shape).copy()),)
+
+        return _record(out, (self,), grad_fn)
 
     # -- elementwise nonlinearities ------------------------------------------
 
     def log(self):
-        return log(self)
-
-    def exp(self):
-        return exp(self)
+        out = Tensor(np.log(self.value))
+        return _record(out, (self,), lambda g: ((self, g / self.value),))
 
     def sigmoid(self):
-        return sigmoid(self)
+        # expit is the overflow-safe logistic; saturation to exact 0/1 in
+        # float64 is expected for |x| beyond ~37
+        s = special.expit(self.value)
+        return _record(Tensor(s), (self,), lambda g: ((self, g * s * (1.0 - s)),))
 
     def relu(self):
-        return relu(self)
+        # reference chain of the MLP layer node
+        out = Tensor(np.maximum(self.value, 0.0))
+        return _record(out, (self,), lambda g: ((self, g * (self.value > 0)),))
 
     def clip(self, low, high):
-        return clip(self, low, high)
+        """Clamp values into [low, high]; gradient is blocked where clamped.
+        Reference chain of the concrete sample."""
+        out = Tensor(np.clip(self.value, low, high))
+        inside = (self.value >= low) & (self.value <= high)
+        return _record(out, (self,), lambda g: ((self, g * inside),))
 
     def backward(self):
         backward(self)
@@ -259,114 +300,6 @@ def _binary(op, a, b, slope_a, slope_b):
         return pairs
 
     return _record(out, (a, b), grad_fn)
-
-
-def add(a, b):
-    return _binary(operator.add, a, b, lambda g, av, bv: g, lambda g, av, bv: g)
-
-
-def sub(a, b):
-    return _binary(operator.sub, a, b, lambda g, av, bv: g, lambda g, av, bv: -g)
-
-
-def mul(a, b):
-    return _binary(
-        operator.mul, a, b, lambda g, av, bv: g * bv, lambda g, av, bv: g * av
-    )
-
-
-def div(a, b):
-    return _binary(
-        operator.truediv, a, b,
-        lambda g, av, bv: g / bv, lambda g, av, bv: -g * av / (bv * bv),
-    )
-
-
-def neg(a):
-    a = _wrap(a)
-    out = Tensor(-a.value)
-    return _record(out, (a,), lambda g: ((a, -g),))
-
-
-def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ValueError(
-            f"matmul expects 2-d operands, got {a.value.shape} @ {b.value.shape}"
-        )
-    out = Tensor(a.value @ b.value)
-    ta, tb = _tracked(a), _tracked(b)
-
-    def grad_fn(g):
-        if ta:
-            yield a, g @ b.value.T, True
-        if tb:
-            yield b, a.value.T @ g, True
-
-    return _record(out, (a, b), grad_fn)
-
-
-def transpose(a):
-    a = _wrap(a)
-    out = Tensor(a.value.T.copy())
-    return _record(out, (a,), lambda g: ((a, g.T),))
-
-
-def tensor_sum(a, axis=None, keepdims=False):
-    a = _wrap(a)
-    out = Tensor(a.value.sum(axis=axis, keepdims=keepdims))
-
-    def grad_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(g, a.value.shape).copy()),)
-
-    return _record(out, (a,), grad_fn)
-
-
-def log(a):
-    a = _wrap(a)
-    out = Tensor(np.log(a.value))
-    return _record(out, (a,), lambda g: ((a, g / a.value),))
-
-
-def exp(a):
-    a = _wrap(a)
-    e = np.exp(a.value)
-    return _record(Tensor(e), (a,), lambda g: ((a, g * e),))
-
-
-def sigmoid(a):
-    a = _wrap(a)
-    # expit is the overflow-safe logistic; saturation to exact 0/1 in
-    # float64 is expected for |x| beyond ~37
-    s = special.expit(a.value)
-    return _record(Tensor(s), (a,), lambda g: ((a, g * s * (1.0 - s)),))
-
-
-def relu(a):
-    a = _wrap(a)
-    out = Tensor(np.maximum(a.value, 0.0))
-    return _record(out, (a,), lambda g: ((a, g * (a.value > 0)),))
-
-
-def power(a, exponent):
-    a = _wrap(a)
-    p = float(exponent)
-    out = Tensor(a.value ** p)
-    return _record(
-        out, (a,), lambda g: ((a, g * p * a.value ** (p - 1.0)),)
-    )
-
-
-def clip(a, low, high):
-    """Clamp values into [low, high]; gradient is blocked where clamped."""
-    a = _wrap(a)
-    out = Tensor(np.clip(a.value, low, high))
-    if not _tracked(a):
-        return out
-    inside = (a.value >= low) & (a.value <= high)
-    return _record(out, (a,), lambda g: ((a, g * inside),))
 
 
 def concat(tensors):

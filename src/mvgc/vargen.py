@@ -12,6 +12,7 @@ every entry: then it is a constant summed from per-entry terms, and the
 logits leave no node on the tape.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +142,8 @@ def sample_consensus(k, q, tau, noise=None):
     that order, as the matmul and transpose nodes of K @ Q.T return them, so
     they round exactly as those nodes do.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     k, q = _wrap(k), _wrap(q)
     qt = q.value.T.copy()
     s = k.value @ qt

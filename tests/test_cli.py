@@ -274,6 +274,19 @@ def test_a_negative_seed_exits_two_before_loading(
     assert not (tmp_path / "run").exists()
 
 
+def test_a_negative_verify_seed_exits_two_naming_it_before_any_suite_runs(
+    capsys, monkeypatch
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a suite started")
+
+    monkeypatch.setattr(cli, "run_suite", unreachable)
+    assert main(["verify", "theorem1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --seed -1 must be nonnegative")
+    assert captured.out == ""
+
+
 def test_python_dash_m_runs_the_cli():
     result = subprocess.run(
         [sys.executable, "-m", "mvgc", "--help"],

@@ -394,6 +394,13 @@ def test_update_beliefs_floors_vanishing_scores():
     assert beliefs[1] >= 1e-12
 
 
+@pytest.mark.parametrize("rho", [-1.0, float("nan"), float("inf")])
+def test_update_beliefs_names_a_rho_outside_its_range(rho):
+    pseudo = np.array([0, 0, 1, 1])
+    with pytest.raises(ValueError, match="rho must be nonnegative and finite"):
+        update_beliefs(pseudo, [pseudo, np.array([0, 1, 0, 1])], rho=rho)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**16), st.floats(0.0, 8.0))
 def test_update_beliefs_keeps_values_in_unit_interval(seed, rho):

@@ -532,8 +532,13 @@ def test_dataset_container_validates_shape_agreement():
         MultiViewDataset(views=(), labels=None, c=1)
     with pytest.raises(ValueError, match="node count"):
         MultiViewDataset(views=((np.zeros((4, 2)), g),), labels=None, c=2)
+    for outside in (x + 2.0, x - 0.5, np.array([[0.0, 1.5]] * 3)):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            MultiViewDataset(views=((outside, g),), labels=None, c=2)
+    nan = x.copy()
+    nan[0, 0] = np.nan
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        MultiViewDataset(views=((x + 2.0, g),), labels=None, c=2)
+        MultiViewDataset(views=((nan, g),), labels=None, c=2)
     with pytest.raises(ValueError, match="label count"):
         MultiViewDataset(views=((x, g),), labels=[0, 1], c=2)
     with pytest.raises(ValueError, match="cluster count"):

@@ -24,3 +24,10 @@ def test_every_wrapped_name_resolves_to_a_function(pair):
     module_name, attr = pair
     fn = getattr(importlib.import_module(module_name), attr, None)
     assert callable(fn), f"{module_name}.{attr} is gone"
+
+
+def test_the_wrapped_backward_method_resolves():
+    # instrument.install and scripts/epoch_memory.py also rebind this method
+    from mvgc.nncore.tensor import Tensor
+
+    assert callable(getattr(Tensor, "backward", None)), "Tensor.backward is gone"

@@ -109,8 +109,9 @@ def test_train_sample_replays_a_fixed_noise_matrix():
 
 
 def test_sample_consensus_validates_arguments():
-    with pytest.raises(ValueError):
-        bare_sample(Tensor(np.zeros((2, 2))), tau=0.0)
+    for tau in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            bare_sample(Tensor(np.zeros((2, 2))), tau=tau)
 
 
 @settings(max_examples=25, deadline=None)
