@@ -3,9 +3,10 @@
     python3 scripts/byte_identity.py --parent SRC --change SRC [--work DIR]
 
 For each tree, with its own ``src/`` on ``PYTHONPATH``, the script runs
-fixed-seed ``mvgc synth`` and then ``mvgc cluster --export-embeddings
---export-consensus`` on the three benchmark workload shapes, and every
-``mvgc verify`` suite at seeds 0 and 3.  Datasets, run directories, standard
+fixed-seed ``mvgc synth``, then ``mvgc cluster --export-embeddings
+--export-consensus``, then ``mvgc metrics`` of the dataset's labels against
+the run's, on the three benchmark workload shapes, and every ``mvgc verify``
+suite at seeds 0 and 3.  Datasets, run directories, standard
 output and exit codes land in WORK/parent and WORK/change, and the two are
 compared file by file.  Exit status 0 means every run exited 0 and no file
 differs; 1 names the first run, on either side, that exited non-zero, or
@@ -65,6 +66,9 @@ def run_tree(tree, out):
               ["cluster", f"{name}/data", "--out", f"{name}/run", "--seed", "1",
                *cluster, "--export-embeddings", "--export-consensus"],
               f"{name}.cluster.txt")
+        _mvgc(tree, out,
+              ["metrics", f"{name}/data/labels.txt", f"{name}/run/labels.txt"],
+              f"{name}.metrics.txt")
     for suite in SUITES:
         for seed in VERIFY_SEEDS:
             print(f"{tree}: verify {suite} --seed {seed}", file=sys.stderr, flush=True)

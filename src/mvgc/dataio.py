@@ -10,6 +10,10 @@ On-disk layout of a dataset directory:
                         a missing file triggers kNN construction)
     labels.txt          one integer per line (optional)
 
+Every input file, a ``--config`` file included, is read as UTF-8; a file
+that cannot be read, or a byte that is not UTF-8, raises ``DatasetError``
+naming the file, and the line of the byte.
+
 Features are min-max scaled per column into [0, 1] at load time so they can
 serve as BCE targets, and a column whose range overflows float64 is an
 error; graphs get self-loops and, unless meta says ``directed=true``, are
@@ -17,6 +21,7 @@ symmetrized.  Graphs are held sparse (``mvgc.graph.Graph``); an edge list is
 read straight into one, with no n x n array on the way.
 """
 
+import io
 import json
 import logging
 import math
@@ -135,12 +140,37 @@ class RunConfig:
 _CONFIG_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
-def _key_value_lines(path, text):
-    """(line number, key, value) of each key=value line of ``text``, read from
-    ``path``; ``#`` starts a comment.  ``DatasetError`` names the file and
-    line of a line without ``=``, or of a key and the line it repeats."""
+def _read_text(path, what):
+    """The text of the ``what`` (say, ``"label file"``) at ``path``, read as
+    UTF-8.  ``DatasetError`` names a file that cannot be read, and the file
+    and line of a byte that is not UTF-8."""
+    try:
+        data = path.read_bytes()
+    except OSError as err:
+        raise DatasetError(f"cannot read {what} {path}: {err.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise DatasetError(
+            f"{path.name} line {lineno}: byte 0x{data[err.start]:02x} is not "
+            f"valid UTF-8"
+        ) from None
+
+
+def _numbered_lines(path, what):
+    """(line number from 1, line) over ``_read_text(path, what)``, split as
+    a file opened in text mode splits it: at \\n, \\r\\n and \\r."""
+    return enumerate(io.StringIO(_read_text(path, what), newline=None), start=1)
+
+
+def _key_value_lines(path, what):
+    """(line number, key, value) of each key=value line of the ``what`` at
+    ``path`` (``_read_text``); ``#`` starts a comment.  ``DatasetError``
+    names the file and line of a line without ``=``, or of a key and the
+    line it repeats."""
     first_line = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, what).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -160,11 +190,7 @@ def parse_config_file(path):
     overrides; a repeated key is an error, as in ``meta``."""
     overrides = {}
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise DatasetError(f"cannot read config file {path}: {err.strerror}") from None
-    for lineno, key, value in _key_value_lines(path, text):
+    for lineno, key, value in _key_value_lines(path, "config file"):
         if key not in _CONFIG_FIELDS:
             raise DatasetError(f"{path.name} line {lineno}: unknown key {key!r}")
         try:
@@ -204,7 +230,7 @@ def _parse_meta(path):
     if not path.is_file():
         raise DatasetError(f"meta file not found: {path}")
     entries, first_line = {}, {}
-    for lineno, key, value in _key_value_lines(path, path.read_text()):
+    for lineno, key, value in _key_value_lines(path, "meta file"):
         if key not in _META_KEYS:
             raise DatasetError(f"meta line {lineno}: unknown key {key!r}")
         first_line[key] = lineno
@@ -240,26 +266,25 @@ def _parse_meta(path):
 def _load_features(path, n):
     rows = []
     width = None
-    with path.open() as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DatasetError(
-                    f"{path.name} line {lineno}: expected {width} columns, "
-                    f"got {len(cells)}"
-                )
-            try:
-                rows.append([float(cell) for cell in cells])
-            except ValueError:
-                bad = next(c for c in cells if not _is_number(c))
-                raise DatasetError(
-                    f"{path.name} line {lineno}: non-numeric cell {bad!r}"
-                ) from None
+    for lineno, raw in _numbered_lines(path, "features file"):
+        line = raw.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise DatasetError(
+                f"{path.name} line {lineno}: expected {width} columns, "
+                f"got {len(cells)}"
+            )
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            bad = next(c for c in cells if not _is_number(c))
+            raise DatasetError(
+                f"{path.name} line {lineno}: non-numeric cell {bad!r}"
+            ) from None
     if len(rows) != n:
         raise DatasetError(f"{path.name}: expected {n} rows, found {len(rows)}")
     x = np.array(rows, dtype=np.float64)
@@ -280,13 +305,12 @@ def _is_number(cell):
 def _first_non_finite_cell(path):
     """(line number, cell) of the first nan or inf cell of a features file
     that parsed; read again only once a check of the whole array failed."""
-    with path.open() as handle:
-        return next(
-            (lineno, cell)
-            for lineno, raw in enumerate(handle, start=1)
-            for cell in raw.strip().split(",")
-            if cell and not math.isfinite(float(cell))
-        )
+    return next(
+        (lineno, cell)
+        for lineno, raw in _numbered_lines(path, "features file")
+        for cell in raw.strip().split(",")
+        if cell and not math.isfinite(float(cell))
+    )
 
 
 def _load_edges(path, n, directed):
@@ -294,28 +318,25 @@ def _load_edges(path, n, directed):
     a repeated line is one edge.  Raises ``DatasetError`` naming the first
     bad line."""
     rows, cols = [], []
-    with path.open() as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DatasetError(
-                    f"{path.name} line {lineno}: expected two node ids"
-                )
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DatasetError(
-                    f"{path.name} line {lineno}: non-integer node id"
-                ) from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise DatasetError(
-                    f"{path.name} line {lineno}: node index out of range [0, {n})"
-                )
-            rows.append(i)
-            cols.append(j)
+    for lineno, raw in _numbered_lines(path, "graph file"):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DatasetError(f"{path.name} line {lineno}: expected two node ids")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DatasetError(
+                f"{path.name} line {lineno}: non-integer node id"
+            ) from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise DatasetError(
+                f"{path.name} line {lineno}: node index out of range [0, {n})"
+            )
+        rows.append(i)
+        cols.append(j)
     rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
     if not directed:
         rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
@@ -330,23 +351,22 @@ def read_labels(path, n=None):
     exactly ``n`` of them; without, at least one."""
     path = Path(path)
     labels = []
-    with path.open() as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                label = int(line)
-            except ValueError:
-                raise DatasetError(
-                    f"{path.name} line {lineno}: non-integer label {line!r}"
-                ) from None
-            if not _LABEL_MIN <= label <= _LABEL_MAX:
-                raise DatasetError(
-                    f"{path.name} line {lineno}: label {line!r} does not fit "
-                    f"in 64 bits"
-                )
-            labels.append(label)
+    for lineno, raw in _numbered_lines(path, "label file"):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            label = int(line)
+        except ValueError:
+            raise DatasetError(
+                f"{path.name} line {lineno}: non-integer label {line!r}"
+            ) from None
+        if not _LABEL_MIN <= label <= _LABEL_MAX:
+            raise DatasetError(
+                f"{path.name} line {lineno}: label {line!r} does not fit "
+                f"in 64 bits"
+            )
+        labels.append(label)
     if n is None:
         if not labels:
             raise DatasetError(f"{path.name}: no labels found")
@@ -369,8 +389,9 @@ def load_dataset(directory, knn_k=10):
         features_path = directory / f"features_v{v}.csv"
         if not features_path.is_file():
             raise DatasetError(f"missing features file: {features_path.name}")
+        x = _load_features(features_path, n)
         try:
-            x = min_max_scale(_load_features(features_path, n))
+            x = min_max_scale(x)
         except ValueError as err:
             raise DatasetError(f"{features_path.name} {err}") from None
         graph_path = directory / f"graph_v{v}.tsv"

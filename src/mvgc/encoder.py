@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import (
-    MLPSpec,
-    binary_cross_entropy,
-    concat,
-    init_params,
-    mlp_apply,
-)
+from .nncore import MLP, binary_cross_entropy, concat, kaiming_normal
 from .nncore.tensor import _wrap
 
 
@@ -29,54 +23,25 @@ from .nncore.tensor import _wrap
 class ViewEncoder:
     """Encoder f_v plus its mirrored feature decoder for one view."""
 
-    f_spec: MLPSpec
-    f_params: list
-    dec_spec: MLPSpec
-    dec_params: list
+    f: MLP
+    dec: MLP
 
     @classmethod
     def create(cls, d_v, hidden, embed_dim, seed=0):
-        f_spec = MLPSpec(
-            layer_dims=(2 * d_v, hidden, embed_dim),
-            activations=("relu", "none"),
-            init_scheme="kaiming",
-        )
-        dec_spec = MLPSpec(
-            layer_dims=(embed_dim, hidden, d_v),
-            activations=("relu", "sigmoid"),
-            init_scheme="kaiming",
-        )
         f_seed, dec_seed = np.random.SeedSequence(seed).spawn(2)
         return cls(
-            f_spec=f_spec,
-            f_params=init_params(f_spec, f_seed),
-            dec_spec=dec_spec,
-            dec_params=init_params(dec_spec, dec_seed),
+            f=MLP.create(
+                (2 * d_v, hidden, embed_dim), ("relu", "none"), f_seed,
+                init=kaiming_normal,
+            ),
+            dec=MLP.create(
+                (embed_dim, hidden, d_v), ("relu", "sigmoid"), dec_seed,
+                init=kaiming_normal,
+            ),
         )
 
     def parameters(self):
-        return [*self.f_params, *self.dec_params]
-
-
-@dataclass
-class GlobalDecoder:
-    """Mirror of the posterior net: maps the query embedding back to the
-    concatenated global features."""
-
-    spec: MLPSpec
-    params: list
-
-    @classmethod
-    def create(cls, q_width, hidden, d_global, seed=0):
-        spec = MLPSpec(
-            layer_dims=(q_width, hidden, d_global),
-            activations=("relu", "sigmoid"),
-            init_scheme="xavier",
-        )
-        return cls(spec=spec, params=init_params(spec, seed))
-
-    def parameters(self):
-        return list(self.params)
+        return [*self.f.params, *self.dec.params]
 
 
 def message_pass(x, a_norm, order):
@@ -104,18 +69,16 @@ def encode_view(x_v, specific_v, s_norm, enc, order):
     along the view's own graph, ``message_pass(x_v, a_norm_v, order)``), and
     compress through f_v."""
     consensus = message_pass(x_v, s_norm, order)
-    return mlp_apply(enc.f_params, enc.f_spec, concat([specific_v, consensus]))
+    return enc.f(concat([specific_v, consensus]))
 
 
 def reconstruction_loss(x_v, z_v, enc):
     """BCE between the view's features and their decoding from z_v; the
     dataset holds the features in [0, 1]."""
-    decoded = mlp_apply(enc.dec_params, enc.dec_spec, z_v)
-    return binary_cross_entropy(np.asarray(x_v, dtype=np.float64), decoded)
+    return binary_cross_entropy(x_v, enc.dec(z_v))
 
 
 def reconstruction_loss_global(x_global, q_embed, dec):
     """BCE between the global features and their decoding from the query
-    embedding."""
-    decoded = mlp_apply(dec.params, dec.spec, q_embed)
-    return binary_cross_entropy(np.asarray(x_global, dtype=np.float64), decoded)
+    embedding by ``dec``, the global decoder, the posterior net's mirror."""
+    return binary_cross_entropy(x_global, dec(q_embed))

@@ -3,7 +3,10 @@ gradients, MLPs with dropout, seeded init, adaptive-moment updates.
 
 Every tape op is a ``Tensor`` method.  The functions exported here that
 build tape nodes are the nodes no method covers (``concat``, the fused BCE
-and entropy, ``mlp_apply``) and ``dropout``, the MLP layer's reference chain.
+and entropy) and ``dropout``, the MLP layer's reference chain.  An ``MLP``
+holds one feed-forward stack: ``MLP.create`` validates its shape and draws
+its parameters with ``xavier_uniform`` or ``kaiming_normal``, and calling it
+records one tape node per layer.
 
 An ``OptimizerState`` keeps its parameters' values and gradients in one flat
 store, each ``Parameter.value`` and ``.grad`` a view of it.  Code that holds
@@ -20,12 +23,12 @@ from .tensor import (
     concat,
     no_grad,
 )
-from .mlp import MLPSpec, dropout, init_params, mlp_apply
+from .mlp import MLP, dropout, kaiming_normal, xavier_uniform
 from .optim import OptimizerState, adam_step, zero_grads
 from .gradcheck import grad_check
 
 __all__ = [
-    "MLPSpec",
+    "MLP",
     "OptimizerState",
     "Parameter",
     "Tensor",
@@ -36,8 +39,8 @@ __all__ = [
     "concat",
     "dropout",
     "grad_check",
-    "init_params",
-    "mlp_apply",
+    "kaiming_normal",
     "no_grad",
+    "xavier_uniform",
     "zero_grads",
 ]

@@ -1,4 +1,5 @@
-"""MLP building blocks: layer specs, seeded initialization, forward pass.
+"""Feed-forward stacks: one ``MLP`` object holds a stack's activations, its
+dropout rate and its seeded parameters, and calling it runs the forward pass.
 
 Each layer is one tape node: the affine map, the activation and the dropout
 mask run in place on one array, and the node keeps only the layer's output
@@ -13,66 +14,19 @@ from scipy import special
 from .tensor import Parameter, Tensor, _record, _tracked, _unbroadcast, _wrap
 
 _ACTIVATIONS = ("relu", "sigmoid", "none")
-_INIT_SCHEMES = ("xavier", "kaiming")
 
 
-@dataclass(frozen=True)
-class MLPSpec:
-    """Shape and behaviour of a feed-forward stack.
-
-    ``layer_dims`` runs input -> hidden ... -> output; ``activations`` names
-    one nonlinearity per weight layer.  Dropout (inverted convention) is
-    applied after each layer's activation when ``mlp_apply`` gets an rng.
-    """
-
-    layer_dims: tuple
-    activations: tuple
-    dropout_rate: float = 0.0
-    init_scheme: str = "xavier"
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.layer_dims)
-        object.__setattr__(self, "layer_dims", dims)
-        object.__setattr__(self, "activations", tuple(self.activations))
-        if len(dims) < 2:
-            raise ValueError("layer_dims needs at least input and output")
-        if any(d <= 0 for d in dims):
-            raise ValueError(f"zero-width layer in {dims}")
-        if len(self.activations) != len(dims) - 1:
-            raise ValueError(
-                f"expected {len(dims) - 1} activations, got {len(self.activations)}"
-            )
-        for a in self.activations:
-            if a not in _ACTIVATIONS:
-                raise ValueError(f"unknown activation {a!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.init_scheme not in _INIT_SCHEMES:
-            raise ValueError(f"unknown init scheme {self.init_scheme!r}")
-
-    @property
-    def num_layers(self):
-        return len(self.layer_dims) - 1
+def xavier_uniform(rng, fan_in, fan_out):
+    """A fan_in x fan_out weight drawn uniform on (-a, a) with
+    a = sqrt(6/(fan_in+fan_out)), so the entry variance is
+    2/(fan_in+fan_out)."""
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def init_params(spec, seed):
-    """Seeded weight/bias parameters for ``spec``: [W0, b0, W1, b1, ...].
-
-    Xavier draws uniform on (-a, a) with a = sqrt(6/(fan_in+fan_out)), so the
-    entry variance is 2/(fan_in+fan_out); kaiming draws normal with variance
-    2/fan_in.  Biases start at zero.  Equal seeds give bit-identical values.
-    """
-    rng = np.random.default_rng(seed)
-    params = []
-    for fan_in, fan_out in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
-        if spec.init_scheme == "xavier":
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        else:
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        params.append(Parameter(w))
-        params.append(Parameter(np.zeros((1, fan_out))))
-    return params
+def kaiming_normal(rng, fan_in, fan_out):
+    """A fan_in x fan_out weight drawn normal with variance 2/fan_in."""
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
 
 
 def _keep_mask(shape, rate, rng):
@@ -138,22 +92,63 @@ def _layer(h, w, b, activation, rate, rng):
     return _record(Tensor(y), (h, w, b), grad_fn)
 
 
-def mlp_apply(params, spec, x, rng=None):
-    """Run the stack on ``x`` (n rows).  Dropout masks come from ``rng``;
-    without one, or at rate 0, the pass is deterministic."""
-    h = _wrap(x)
-    if h.value.ndim != 2 or h.value.shape[1] != spec.layer_dims[0]:
-        raise ValueError(
-            f"input shape {h.value.shape} does not match mlp input width "
-            f"{spec.layer_dims[0]}"
-        )
-    if len(params) != 2 * spec.num_layers:
-        raise ValueError("parameter list does not match spec")
-    if spec.dropout_rate == 0.0:
-        rng = None
-    for layer in range(spec.num_layers):
-        h = _layer(
-            h, params[2 * layer], params[2 * layer + 1],
-            spec.activations[layer], spec.dropout_rate, rng,
-        )
-    return h
+@dataclass(frozen=True)
+class MLP:
+    """A feed-forward stack: one activation per weight layer, the dropout
+    rate, and the parameters ``[W0, b0, W1, b1, ...]``.
+
+    Calling it on an input of n rows runs the layers; dropout (inverted
+    convention) follows each layer's activation when the call gets an rng.
+    """
+
+    activations: tuple
+    dropout: float
+    params: tuple
+
+    @classmethod
+    def create(cls, layer_dims, activations, seed, dropout=0.0,
+               init=xavier_uniform):
+        """The stack ``layer_dims`` (input -> hidden ... -> output) with one
+        of ``activations`` per weight layer.  Each weight is drawn by
+        ``init`` (``xavier_uniform`` or ``kaiming_normal``) from one
+        generator seeded with ``seed``, layer by layer; biases start at zero.
+        Equal seeds give bit-identical values."""
+        dims = tuple(int(d) for d in layer_dims)
+        activations = tuple(activations)
+        if len(dims) < 2:
+            raise ValueError("layer_dims needs at least input and output")
+        if any(d <= 0 for d in dims):
+            raise ValueError(f"zero-width layer in {dims}")
+        if len(activations) != len(dims) - 1:
+            raise ValueError(
+                f"expected {len(dims) - 1} activations, got {len(activations)}"
+            )
+        for a in activations:
+            if a not in _ACTIVATIONS:
+                raise ValueError(f"unknown activation {a!r}")
+        if not 0.0 <= dropout < 1.0:
+            raise ValueError("dropout must lie in [0, 1)")
+        rng = np.random.default_rng(seed)
+        params = []
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            params.append(Parameter(init(rng, fan_in, fan_out)))
+            params.append(Parameter(np.zeros((1, fan_out))))
+        return cls(activations=activations, dropout=dropout, params=tuple(params))
+
+    def __call__(self, x, rng=None):
+        """Run the stack on ``x`` (n rows).  Dropout masks come from
+        ``rng``; without one, or at rate 0, the pass is deterministic."""
+        h = _wrap(x)
+        width = self.params[0].value.shape[0]
+        if h.value.ndim != 2 or h.value.shape[1] != width:
+            raise ValueError(
+                f"input shape {h.value.shape} does not match mlp input width "
+                f"{width}"
+            )
+        if self.dropout == 0.0:
+            rng = None
+        for w, b, activation in zip(
+            self.params[0::2], self.params[1::2], self.activations
+        ):
+            h = _layer(h, w, b, activation, self.dropout, rng)
+        return h

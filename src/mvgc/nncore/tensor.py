@@ -20,8 +20,8 @@ replaces it, so its intermediates never reach the tape:
 
 - here: ``binary_cross_entropy``, and ``bernoulli_entropy``, whose forward
   and backward each fill one array the size of its input;
-- the MLP layer (``mlp``): affine map, activation and dropout, keeping a
-  boolean dropout mask;
+- each layer of an ``MLP`` (``mlp``): affine map, activation and dropout,
+  keeping a boolean dropout mask;
 - in ``mvgc.vargen``: the concrete sample, which also forms the posterior
   logits K Q^T in the buffer that becomes the sample, so neither the logits
   nor the noise reach the tape; its row normalization, which forms the row
@@ -303,16 +303,19 @@ def _binary(op, a, b, slope_a, slope_b):
 
 
 def concat(tensors):
-    """2-d ``tensors`` side by side; each gets its columns of the gradient."""
+    """2-d ``tensors`` side by side; each tracked one gets its columns of the
+    gradient, in order, and a constant none."""
     tensors = [_wrap(t) for t in tensors]
     out = Tensor(np.concatenate([t.value for t in tensors], axis=1))
-    offsets = np.cumsum([0] + [t.value.shape[1] for t in tensors])
+    ends = np.cumsum([t.value.shape[1] for t in tensors])
+    tracked = [
+        (t, slice(end - t.value.shape[1], end))
+        for t, end in zip(tensors, ends) if _tracked(t)
+    ]
 
     def grad_fn(g):
-        return tuple(
-            (t, g[:, offsets[i]:offsets[i + 1]].copy())
-            for i, t in enumerate(tensors)
-        )
+        for t, cols in tracked:
+            yield t, g[:, cols].copy()
 
     return _record(out, tuple(tensors), grad_fn)
 

@@ -40,7 +40,6 @@ from .cluster import (
     update_beliefs,
 )
 from .encoder import (
-    GlobalDecoder,
     ViewEncoder,
     encode_view,
     message_pass,
@@ -51,7 +50,7 @@ from .graph import add_self_loops, row_normalize
 # acc, ari, f1 and nmi stay bound here: perfbench's traced run wraps them by
 # these names
 from .metrics import acc, ari, f1, nmi, score  # noqa: F401
-from .nncore import OptimizerState, adam_step, no_grad, zero_grads
+from .nncore import MLP, OptimizerState, adam_step, no_grad, zero_grads
 from .vargen import (
     PosteriorNet,
     adjacency_nll,
@@ -82,9 +81,9 @@ def _purpose_code(purpose, view=None):
     return _PURPOSE_CODES[purpose]
 
 
-def rng_stream(seed, epoch, purpose, view=None):
+def rng_stream(seed, epoch, purpose):
     """Deterministic generator for one (epoch, purpose) slot."""
-    return np.random.default_rng((seed, epoch, _purpose_code(purpose, view)))
+    return np.random.default_rng((seed, epoch, _purpose_code(purpose)))
 
 
 def derived_seed(seed, epoch, purpose, view=None):
@@ -104,7 +103,7 @@ class TrainState:
 
     posterior: PosteriorNet
     encoders: list
-    global_decoder: GlobalDecoder
+    global_decoder: MLP
     specific: list
     beliefs: tuple
     optimizer: OptimizerState
@@ -117,7 +116,7 @@ class TrainState:
             ("posterior", self.posterior.parameters()),
             *((f"encoder {v}", enc.parameters())
               for v, enc in enumerate(self.encoders, start=1)),
-            ("global decoder", self.global_decoder.parameters()),
+            ("global decoder", self.global_decoder.params),
         ]
 
     def parameters(self):
@@ -157,8 +156,10 @@ def init_state(dataset, config):
     posterior = PosteriorNet.create(
         d_global, config.hidden, dropout=config.dropout, seed=int(seeds[0])
     )
-    global_decoder = GlobalDecoder.create(
-        config.hidden, config.hidden, d_global, seed=int(seeds[1])
+    # the posterior net's mirror: query embedding -> global features
+    global_decoder = MLP.create(
+        (config.hidden, config.hidden, d_global), ("relu", "sigmoid"),
+        int(seeds[1]),
     )
     encoders = [
         ViewEncoder.create(

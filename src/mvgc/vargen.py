@@ -19,13 +19,12 @@ import numpy as np
 from scipy import special
 
 from .nncore import (
-    MLPSpec,
+    MLP,
     Parameter,
     Tensor,
     bernoulli_entropy,
     binary_cross_entropy,
-    init_params,
-    mlp_apply,
+    xavier_uniform,
 )
 from .nncore.tensor import (
     BCE_CLAMP, _bce_terms, _record, _row_blocks, _tracked, _unbroadcast, _wrap,
@@ -42,28 +41,24 @@ class PosteriorNet:
     """Posterior over the consensus graph: an MLP on global features plus the
     square mixing matrix that produces the query embedding."""
 
-    spec: MLPSpec
-    params: list
+    mlp: MLP
     w: Parameter
 
     @classmethod
     def create(cls, d_in, hidden, dropout=0.1, seed=0):
-        spec = MLPSpec(
-            layer_dims=(d_in, hidden, hidden),
-            activations=("relu", "none"),
-            dropout_rate=dropout,
-            init_scheme="xavier",
-        )
         mlp_seed, w_seed = np.random.SeedSequence(seed).spawn(2)
-        params = init_params(spec, mlp_seed)
-        bound = np.sqrt(6.0 / (hidden + hidden))
-        w = Parameter(
-            np.random.default_rng(w_seed).uniform(-bound, bound, (hidden, hidden))
+        return cls(
+            mlp=MLP.create(
+                (d_in, hidden, hidden), ("relu", "none"), mlp_seed,
+                dropout=dropout,
+            ),
+            w=Parameter(
+                xavier_uniform(np.random.default_rng(w_seed), hidden, hidden)
+            ),
         )
-        return cls(spec=spec, params=params, w=w)
 
     def parameters(self):
-        return [*self.params, self.w]
+        return [*self.mlp.params, self.w]
 
 
 def compute_prior_beta(graphs, beliefs):
@@ -105,7 +100,7 @@ def infer_posterior(x_global, net, rng=None):
     Q = K W.  The posterior's pairwise edge logits alpha = K Q^T are formed
     by ``sample_consensus``.  Dropout masks in f' come from ``rng``; without
     one the pass is deterministic."""
-    k = mlp_apply(net.params, net.spec, x_global, rng=rng)
+    k = net.mlp(x_global, rng=rng)
     return k, k @ net.w
 
 

@@ -363,6 +363,51 @@ def test_metrics_subcommand_validates_label_files(tmp_path, capsys):
     assert "pred.txt line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing", "cannot read label file {}: No such file or directory"),
+        ("directory", "cannot read label file {}: Is a directory"),
+        ("not utf-8", "pred.txt line 2: byte 0xff is not valid UTF-8"),
+    ],
+    ids=["missing", "directory", "not-utf-8"],
+)
+def test_metrics_exits_two_naming_an_unreadable_label_file(tmp_path, capsys, case, message):
+    truth = tmp_path / "truth.txt"
+    pred = tmp_path / "pred.txt"
+    truth.write_text("0\n1\n")
+    if case == "directory":
+        pred.mkdir()
+    elif case == "not utf-8":
+        pred.write_bytes(b"0\n\xff\n")
+    assert main(["metrics", str(truth), str(pred)]) == 2
+    assert message.format(pred) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", ["meta", "features_v1.csv", "graph_v1.tsv", "labels.txt", "run.conf"]
+)
+def test_a_byte_that_is_not_utf8_exits_two_naming_the_file_and_line(
+    tmp_path, capsys, monkeypatch, name
+):
+    data = synth(tmp_path)
+    config = tmp_path / "run.conf"
+    config.write_text("tau=5.0\nrho=1.0\nseed=0\n")
+    path = config if name == "run.conf" else data / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].rstrip(b"\n") + b" caf\xe9\n"
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "fit", no_training)
+    assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
+                 "--config", str(config), *FAST_FLAGS]) == 2
+    assert f"{name} line 3: byte 0xe9 is not valid UTF-8" in capsys.readouterr().err
+
+
 def test_synth_noisy_view_flag_is_one_based(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "x"), "--n", "12", "--c", "2",
                  "--noisy-view", "0"]) == 2

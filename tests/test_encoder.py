@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mvgc.encoder import (
-    GlobalDecoder,
     ViewEncoder,
     encode_view,
     message_pass,
@@ -12,7 +11,7 @@ from mvgc.encoder import (
     reconstruction_loss_global,
 )
 from mvgc.graph import Graph, add_self_loops, row_normalize
-from mvgc.nncore import Tensor, binary_cross_entropy, concat, mlp_apply
+from mvgc.nncore import MLP, Tensor, binary_cross_entropy, concat
 
 
 def ring_norm(n):
@@ -77,7 +76,7 @@ def test_encode_view_compresses_both_graph_routes_through_f():
     s_norm = Tensor(tilted_norm(n))
     specific = message_pass(x, ring_norm(n), 2).value
     both = concat([specific, message_pass(x, s_norm, 2)])
-    expected = mlp_apply(enc.f_params, enc.f_spec, both).value
+    expected = enc.f(both).value
     assert np.array_equal(
         encode_view(x, specific, s_norm, enc, order=2).value, expected
     )
@@ -102,17 +101,17 @@ def test_reconstruction_loss_is_bce_of_the_decoded_features():
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=3, seed=2)
     specific = message_pass(x, ring_norm(n), 1).value
     z = encode_view(x, specific, Tensor(np.full((n, n), 1.0 / n)), enc, order=1)
-    decoded = mlp_apply(enc.dec_params, enc.dec_spec, z)
+    decoded = enc.dec(z)
     assert reconstruction_loss(x, z, enc).value == pytest.approx(
         binary_cross_entropy(x, decoded).value
     )
 
 
 def test_global_reconstruction_matches_manual_bce():
-    dec = GlobalDecoder.create(q_width=3, hidden=6, d_global=5, seed=4)
+    dec = MLP.create((3, 6, 5), ("relu", "sigmoid"), seed=4)
     x_global = np.random.default_rng(6).uniform(size=(4, 5))
     q = Tensor(np.random.default_rng(7).normal(size=(4, 3)))
-    decoded = mlp_apply(dec.params, dec.spec, q)
+    decoded = dec(q)
     assert reconstruction_loss_global(x_global, q, dec).value == pytest.approx(
         binary_cross_entropy(x_global, decoded).value
     )

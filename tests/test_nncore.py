@@ -1,5 +1,6 @@
 """Autodiff core: op gradients, MLP behavior, the optimizer."""
 
+import dataclasses
 import gc
 import operator
 import weakref
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvgc.nncore import (
-    MLPSpec,
+    MLP,
     OptimizerState,
     Parameter,
     Tensor,
@@ -21,8 +22,7 @@ from mvgc.nncore import (
     concat,
     dropout,
     grad_check,
-    init_params,
-    mlp_apply,
+    kaiming_normal,
     no_grad,
     zero_grads,
 )
@@ -50,6 +50,18 @@ def test_composite_expression_passes_finite_differences():
         return (mixed * mixed).sum() + h.log().sum()
 
     assert grad_check(loss_fn, [a, b, c], h=1e-6, max_entries=64) < 1e-7
+
+
+def test_concat_hands_gradients_only_to_its_tracked_inputs():
+    w = Parameter(np.ones((3, 4)))
+    h = w * 2.0
+    out = concat([np.arange(6.0).reshape(3, 2), h, Tensor(np.zeros((3, 1)))])
+    g = np.arange(21.0).reshape(3, 7)
+    pairs = list(out._grad_fn(g))
+    assert len(pairs) == 1 and pairs[0][0] is h
+    assert np.array_equal(pairs[0][1], g[:, 2:6])
+    backward((out * g).sum())
+    assert np.array_equal(w.grad, 2.0 * g[:, 2:6])
 
 
 def test_elementwise_ops_pass_finite_differences():
@@ -169,36 +181,71 @@ def test_bernoulli_entropy_value_and_gradient():
 
 
 def test_mlp_eval_matches_manual_affine_chain():
-    spec = MLPSpec(layer_dims=(3, 4, 2), activations=("relu", "sigmoid"))
-    params = init_params(spec, seed=0)
+    mlp = MLP.create((3, 4, 2), ("relu", "sigmoid"), seed=0)
     x = np.random.default_rng(1).normal(size=(5, 3))
-    out = mlp_apply(params, spec, x).value
+    out = mlp(x).value
 
-    w1, b1, w2, b2 = (p.value for p in params)
+    w1, b1, w2, b2 = (p.value for p in mlp.params)
     hidden = np.maximum(x @ w1 + b1, 0.0)
     manual = 1.0 / (1.0 + np.exp(-(hidden @ w2 + b2)))
     assert np.allclose(out, manual)
+    with pytest.raises(ValueError, match="mlp input width 3"):
+        mlp(x[:, :2])
 
 
 def test_mlp_dropout_runs_only_with_an_rng():
-    spec = MLPSpec(layer_dims=(3, 4), activations=("none",), dropout_rate=0.5)
-    params = init_params(spec, seed=2)
+    mlp = MLP.create((3, 4), ("none",), seed=2, dropout=0.5)
     x = np.random.default_rng(3).normal(size=(6, 3))
-    plain = x @ params[0].value + params[1].value
-    assert np.array_equal(mlp_apply(params, spec, x).value, plain)
-    dropped = mlp_apply(params, spec, x, rng=np.random.default_rng(4)).value
+    plain = x @ mlp.params[0].value + mlp.params[1].value
+    assert np.array_equal(mlp(x).value, plain)
+    dropped = mlp(x, rng=np.random.default_rng(4)).value
     expected = dropout(Tensor(plain), 0.5, np.random.default_rng(4)).value
     assert np.array_equal(dropped, expected)
     assert (dropped == 0.0).any()
 
 
 def test_mlp_init_is_deterministic_per_seed():
-    spec = MLPSpec(layer_dims=(6, 8, 4), activations=("relu", "none"))
-    first = init_params(spec, seed=9)
-    second = init_params(spec, seed=9)
-    other = init_params(spec, seed=10)
-    assert all(np.array_equal(a.value, b.value) for a, b in zip(first, second))
-    assert any(not np.array_equal(a.value, b.value) for a, b in zip(first, other))
+    def values(seed):
+        return [p.value for p in MLP.create((6, 8, 4), ("relu", "none"), seed).params]
+
+    first, second, other = values(9), values(9), values(10)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert any(not np.array_equal(a, b) for a, b in zip(first, other))
+
+
+@pytest.mark.parametrize("init", ["xavier", "kaiming"])
+def test_mlp_create_reproduces_a_direct_numpy_draw_bit_for_bit(init):
+    dims = (5, 7, 3)
+    kwargs = {} if init == "xavier" else {"init": kaiming_normal}
+    mlp = MLP.create(dims, ("relu", "none"), seed=21, **kwargs)
+    rng = np.random.default_rng(21)
+    expected = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        if init == "xavier":
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        else:
+            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        expected += [w, np.zeros((1, fan_out))]
+    assert len(mlp.params) == len(expected)
+    assert all(
+        isinstance(p, Parameter) and _same_bits(p.value, e)
+        for p, e in zip(mlp.params, expected)
+    )
+
+
+@pytest.mark.parametrize("layer_dims, activations, dropout_rate, message", [
+    ((3,), (), 0.0, "at least input and output"),
+    ((3, 0, 2), ("relu", "none"), 0.0, "zero-width layer"),
+    ((3, 2), ("relu", "none"), 0.0, "expected 1 activations"),
+    ((3, 2), ("tanh",), 0.0, "unknown activation 'tanh'"),
+    ((3, 2), ("none",), 1.0, r"dropout must lie in \[0, 1\)"),
+])
+def test_mlp_create_rejects_a_malformed_shape(
+    layer_dims, activations, dropout_rate, message
+):
+    with pytest.raises(ValueError, match=message):
+        MLP.create(layer_dims, activations, seed=0, dropout=dropout_rate)
 
 
 def test_dropout_eval_equals_mean_of_train_outputs():
@@ -396,17 +443,17 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _primitive_mlp(params, spec, x, rng=None):
-    """``mlp_apply`` as the chain of primitive ops its layer node fuses."""
+def _primitive_mlp(mlp, x, rng=None):
+    """Calling ``mlp`` as the chain of primitive ops its layer node fuses."""
     h = _wrap(x)
-    for layer in range(spec.num_layers):
-        h = h @ params[2 * layer] + params[2 * layer + 1]
-        if spec.activations[layer] == "relu":
+    for w, b, activation in zip(mlp.params[0::2], mlp.params[1::2], mlp.activations):
+        h = h @ w + b
+        if activation == "relu":
             h = h.relu()
-        elif spec.activations[layer] == "sigmoid":
+        elif activation == "sigmoid":
             h = h.sigmoid()
-        if rng is not None and spec.dropout_rate > 0.0:
-            h = dropout(h, spec.dropout_rate, rng)
+        if rng is not None and mlp.dropout > 0.0:
+            h = dropout(h, mlp.dropout, rng)
     return h
 
 
@@ -429,9 +476,8 @@ def test_mlp_layer_node_matches_the_primitive_chain_bit_for_bit(data):
     n = data.draw(st.integers(1, 6), label="rows")
 
     rng = np.random.default_rng(seed)
-    spec = MLPSpec(layer_dims=dims, activations=acts, dropout_rate=rate)
-    start = [rng.normal(scale=scale, size=p.value.shape)
-             for p in init_params(spec, seed)]
+    mlp = MLP.create(dims, acts, seed, dropout=rate)
+    start = [rng.normal(scale=scale, size=p.value.shape) for p in mlp.params]
     for bias in start[1::2]:
         bias[rng.random(bias.shape) < 0.5] = 0.0
     x0 = rng.normal(scale=scale, size=(n, dims[0]))
@@ -440,31 +486,32 @@ def test_mlp_layer_node_matches_the_primitive_chain_bit_for_bit(data):
     weight = rng.normal(size=(n, dims[-1]))
 
     def run(apply):
-        params = [Parameter(v.copy()) for v in start]
+        net = dataclasses.replace(
+            mlp, params=tuple(Parameter(v.copy()) for v in start)
+        )
         x = Parameter(x0.copy())
         drop_rng = np.random.default_rng(seed + 1) if use_rng else None
-        out = apply(params, spec, x, drop_rng)
+        out = apply(net, x, drop_rng)
         # the input has a second consumer, so the order of its two
         # gradient contributions shows in the bits
         backward((out * weight).sum() + (x * x).sum())
-        return [out.value, x.grad, *(p.grad for p in params)]
+        return [out.value, x.grad, *(p.grad for p in net.params)]
 
-    fused = run(lambda params, spec, x, r: mlp_apply(params, spec, x, rng=r))
+    fused = run(lambda net, x, r: net(x, rng=r))
     primitive = run(_primitive_mlp)
     assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
 
 
 def test_mlp_records_one_tape_node_per_layer():
-    spec = MLPSpec(layer_dims=(3, 4, 4, 2), activations=("relu", "sigmoid", "none"),
-                   dropout_rate=0.2)
-    params = init_params(spec, seed=4)
-    out = mlp_apply(params, spec, np.ones((5, 3)), rng=np.random.default_rng(0))
+    mlp = MLP.create((3, 4, 4, 2), ("relu", "sigmoid", "none"), seed=4,
+                     dropout=0.2)
+    out = mlp(np.ones((5, 3)), rng=np.random.default_rng(0))
     nodes = 0
     node = out
     while node._grad_fn is not None:
         nodes += 1
         node = node._parents[0]
-    assert nodes == spec.num_layers
+    assert nodes == len(mlp.activations)
     assert node is not out and node._parents == ()
 
 

@@ -172,7 +172,7 @@ def _square_tape_arrays(dataset, config, decoder_scale=1.0):
     per view."""
     state = init_state(dataset, config)
     for enc in state.encoders:
-        for p in enc.f_params[-2:]:
+        for p in enc.f.params[-2:]:
             p.value *= decoder_scale
     total, _, _ = build_loss(
         state, dataset, config, prepare_epoch(state, dataset, config)
