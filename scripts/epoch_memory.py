@@ -13,9 +13,11 @@ The epoch is split into phases by wrapping, at run time, the names that
 
 - ``eval pass``, ``k-means``, ``beliefs`` and ``prior`` in ``prepare_epoch``;
 - ``forward <stage>`` for each stage of ``build_loss``, and ``forward
-  build_loss`` for the sums that join them; a stage called outside
-  ``build_loss`` and outside the eval pass, as ``prepare_epoch`` calls
-  ``fuse`` for k-means and the beliefs, is ``eval <stage>``;
+  build_loss`` for the sums that join them (``forward sample_consensus``
+  includes the concrete noise, which the sample node draws itself); a
+  stage called outside ``build_loss`` and outside the eval pass, as
+  ``prepare_epoch`` calls ``fuse`` for k-means and the beliefs, is ``eval
+  <stage>``;
 - ``backward <stage>`` for the gradient functions of the tape nodes that
   stage recorded, and ``backward`` for the walk between them;
 - ``zero_grads`` and ``adam``; ``other`` is everything outside these.
@@ -45,7 +47,7 @@ import numpy as np
 MB = float(1 << 20)
 # stages of build_loss, as mvgc.trainer names them
 FORWARD_STAGES = (
-    "infer_posterior", "logistic_noise", "sample_consensus",
+    "infer_posterior", "sample_consensus",
     "normalize_consensus", "encode_view", "reconstruction_loss",
     "reconstruction_loss_global", "decode_adjacency", "adjacency_nll",
     "elbo_loss", "fuse", "soft_assignment", "target_distribution",

@@ -10,9 +10,12 @@ On-disk layout of a dataset directory:
                         a missing file triggers kNN construction)
     labels.txt          one integer per line (optional)
 
-Every input file, a ``--config`` file included, is read as UTF-8; a file
-that cannot be read, or a byte that is not UTF-8, raises ``DatasetError``
-naming the file, and the line of the byte.
+Every input file, a ``--config`` file included, is read by ``_lines``: as
+UTF-8, without one leading byte-order mark, with a line ending at \\n,
+\\r\\n or \\r as in text mode, and numbered from 1; each line is
+stripped, and a blank one is skipped.  A file that cannot be read, or a
+byte that is not UTF-8, raises ``DatasetError`` naming the file, and the
+line of the byte.
 
 Features are min-max scaled per column into [0, 1] at load time so they can
 serve as BCE targets, and a column whose range overflows float64 is an
@@ -21,11 +24,13 @@ symmetrized.  Graphs are held sparse (``mvgc.graph.Graph``); an edge list is
 read straight into one, with no n x n array on the way.
 """
 
+import codecs
 import io
 import json
 import logging
 import math
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -140,38 +145,38 @@ class RunConfig:
 _CONFIG_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
-def _read_text(path, what):
-    """The text of the ``what`` (say, ``"label file"``) at ``path``, read as
-    UTF-8.  ``DatasetError`` names a file that cannot be read, and the file
-    and line of a byte that is not UTF-8."""
+def _lines(path, what):
+    """(line number, stripped line) of each nonblank line of the ``what``
+    (say, ``"label file"``) at ``path``, read by the rule in the module
+    docstring.  ``DatasetError`` names a file that cannot be read, and the
+    file and line of a byte that is not UTF-8."""
     try:
-        data = path.read_bytes()
+        data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as err:
         raise DatasetError(f"cannot read {what} {path}: {err.strerror}") from None
+    # a StringIO with newline=None splits as a file opened in text mode, and
+    # hands each line ending on as \n
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        lineno = data.count(b"\n", 0, err.start) + 1
+        head = io.StringIO(data[: err.start].decode("utf-8"), newline=None)
+        lineno = 1 + sum(line.endswith("\n") for line in head)
         raise DatasetError(
             f"{path.name} line {lineno}: byte 0x{data[err.start]:02x} is not "
             f"valid UTF-8"
         ) from None
-
-
-def _numbered_lines(path, what):
-    """(line number from 1, line) over ``_read_text(path, what)``, split as
-    a file opened in text mode splits it: at \\n, \\r\\n and \\r."""
-    return enumerate(io.StringIO(_read_text(path, what), newline=None), start=1)
+    stripped = map(str.strip, io.StringIO(text, newline=None))
+    return filter(itemgetter(1), enumerate(stripped, start=1))
 
 
 def _key_value_lines(path, what):
     """(line number, key, value) of each key=value line of the ``what`` at
-    ``path`` (``_read_text``); ``#`` starts a comment.  ``DatasetError``
-    names the file and line of a line without ``=``, or of a key and the
-    line it repeats."""
+    ``path`` (``_lines``); ``#`` starts a comment.  ``DatasetError`` names
+    the file and line of a line without ``=``, or of a key and the line it
+    repeats."""
     first_line = {}
-    for lineno, raw in enumerate(_read_text(path, what).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in _lines(path, what):
+        line = line.split("#", 1)[0].rstrip()
         if not line:
             continue
         if "=" not in line:
@@ -264,12 +269,12 @@ def _parse_meta(path):
 
 
 def _load_features(path, n):
+    """The features file's n rows as an array; ``DatasetError`` names the
+    first line whose column count differs from the first row's, or that
+    holds a cell that is not a finite number."""
     rows = []
     width = None
-    for lineno, raw in _numbered_lines(path, "features file"):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _lines(path, "features file"):
         cells = line.split(",")
         if width is None:
             width = len(cells)
@@ -278,39 +283,23 @@ def _load_features(path, n):
                 f"{path.name} line {lineno}: expected {width} columns, "
                 f"got {len(cells)}"
             )
-        try:
-            rows.append([float(cell) for cell in cells])
-        except ValueError:
-            bad = next(c for c in cells if not _is_number(c))
-            raise DatasetError(
-                f"{path.name} line {lineno}: non-numeric cell {bad!r}"
-            ) from None
+        row = []
+        for cell in cells:
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DatasetError(
+                    f"{path.name} line {lineno}: non-numeric cell {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DatasetError(
+                    f"{path.name} line {lineno}: non-finite cell {cell!r}"
+                )
+            row.append(value)
+        rows.append(row)
     if len(rows) != n:
         raise DatasetError(f"{path.name}: expected {n} rows, found {len(rows)}")
-    x = np.array(rows, dtype=np.float64)
-    if not np.isfinite(x).all():
-        lineno, bad = _first_non_finite_cell(path)
-        raise DatasetError(f"{path.name} line {lineno}: non-finite cell {bad!r}")
-    return x
-
-
-def _is_number(cell):
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
-def _first_non_finite_cell(path):
-    """(line number, cell) of the first nan or inf cell of a features file
-    that parsed; read again only once a check of the whole array failed."""
-    return next(
-        (lineno, cell)
-        for lineno, raw in _numbered_lines(path, "features file")
-        for cell in raw.strip().split(",")
-        if cell and not math.isfinite(float(cell))
-    )
+    return np.array(rows, dtype=np.float64)
 
 
 def _load_edges(path, n, directed):
@@ -318,10 +307,7 @@ def _load_edges(path, n, directed):
     a repeated line is one edge.  Raises ``DatasetError`` naming the first
     bad line."""
     rows, cols = [], []
-    for lineno, raw in _numbered_lines(path, "graph file"):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _lines(path, "graph file"):
         parts = line.split()
         if len(parts) != 2:
             raise DatasetError(f"{path.name} line {lineno}: expected two node ids")
@@ -351,10 +337,7 @@ def read_labels(path, n=None):
     exactly ``n`` of them; without, at least one."""
     path = Path(path)
     labels = []
-    for lineno, raw in _numbered_lines(path, "label file"):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _lines(path, "label file"):
         try:
             label = int(line)
         except ValueError:

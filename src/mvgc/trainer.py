@@ -21,9 +21,9 @@ Everything that does not depend on the parameters is computed once, outside
 the loss: ``init_state`` message-passes each view's features along its own
 graph for the whole fit, and ``prepare_epoch`` computes the epoch's KL bound
 (from the incoming beliefs).  ``build_loss`` builds only the differentiable
-graph; it draws the epoch's concrete noise from its own stream, and the
-sample node adds it into the sample, so no n x n array outlives the stage
-that reads it last.
+graph; the sample node draws the epoch's concrete noise from its own
+stream a row block at a time, into the sample's buffer, so no n x n noise
+array exists and no n x n array outlives the stage that reads it last.
 """
 
 import ctypes
@@ -59,7 +59,6 @@ from .vargen import (
     elbo_loss,
     infer_posterior,
     kl_upper_bound,
-    logistic_noise,
     normalize_consensus,
     sample_consensus,
 )
@@ -186,18 +185,14 @@ def _forward(state, dataset, config, noise_rng=None, dropout_rng=None):
     """Posterior query embedding, consensus sample and per-view embeddings,
     as Tensors.
 
-    ``noise_rng`` draws the logistic noise that perturbs the concrete sample
-    (otherwise it sits at the posterior median); the draw is passed straight
-    to the sample node, so it is freed once added in.  ``dropout_rng`` draws
-    the posterior net's dropout masks (otherwise there is none).  Returns
-    (q_embed, sample, z_views).
+    ``noise_rng`` is passed straight to the sample node, which draws from
+    it the logistic noise that perturbs the concrete sample (otherwise it
+    sits at the posterior median).  ``dropout_rng`` draws the posterior
+    net's dropout masks (otherwise there is none).  Returns (q_embed,
+    sample, z_views).
     """
     k, q = infer_posterior(dataset.x_global, state.posterior, rng=dropout_rng)
-    sample = sample_consensus(
-        k, q, config.tau,
-        noise=None if noise_rng is None
-        else logistic_noise(noise_rng, (dataset.n, dataset.n)),
-    )
+    sample = sample_consensus(k, q, config.tau, rng=noise_rng)
     s_norm = normalize_consensus(sample)
     z_views = [
         encode_view(x, specific, s_norm, enc, config.order)

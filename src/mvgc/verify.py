@@ -21,7 +21,6 @@ from .trainer import build_loss, init_state, prepare_epoch
 from .vargen import (
     compute_prior_beta,
     kl_upper_bound,
-    logistic_noise,
     sample_consensus,
     view_prior_cross_entropy,
 )
@@ -126,7 +125,7 @@ def temperature(seed=0):
     variances = []
     for tau in taus:
         draws = [
-            sample_consensus(alpha, identity, tau, logistic_noise(rng, alpha.shape)).value
+            sample_consensus(alpha, identity, tau, rng=rng).value
             for _ in range(40)
         ]
         pool = np.concatenate([d.reshape(-1) for d in draws])

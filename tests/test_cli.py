@@ -1,5 +1,6 @@
 """End-to-end command-line flows on small synthetic datasets."""
 
+import codecs
 import os
 import re
 import subprocess
@@ -406,6 +407,28 @@ def test_a_byte_that_is_not_utf8_exits_two_naming_the_file_and_line(
     assert main(["cluster", str(data), "--out", str(tmp_path / "run"),
                  "--config", str(config), *FAST_FLAGS]) == 2
     assert f"{name} line 3: byte 0xe9 is not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", ["meta", "features_v1.csv", "graph_v1.tsv", "labels.txt", "run.conf"]
+)
+def test_a_leading_byte_order_mark_changes_no_output(tmp_path, capsys, name):
+    data = synth(tmp_path)
+    config = tmp_path / "run.conf"
+    config.write_text("epochs=2\nhidden=8\nembed_dim=4\nrestarts=2\ndropout=0.0\n")
+
+    def run(out):
+        argv = ["cluster", str(data), "--out", str(out), "--config", str(config)]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    plain = run(tmp_path / "plain")
+    path = config if name == "run.conf" else data / name
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    capsys.readouterr()
+    marked = run(tmp_path / "marked")
+    assert {"labels.txt", "beliefs.tsv", "losses.tsv"} <= set(plain)
+    assert marked == plain
 
 
 def test_synth_noisy_view_flag_is_one_based(tmp_path, capsys):

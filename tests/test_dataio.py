@@ -18,6 +18,7 @@ from mvgc.dataio import (
     load_dataset,
     min_max_scale,
     parse_config_file,
+    read_labels,
     save_dataset,
     save_run,
     write_consensus_tsv,
@@ -379,6 +380,36 @@ def test_meta_names_is_accepted_and_changes_nothing(tmp_path):
     named = load_dataset(tmp_path)
     assert (plain.graphs[0].adj != named.graphs[0].adj).nnz == 0
     assert np.array_equal(plain.x_global, named.x_global)
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\x85"], ids=["U+2028", "U+0085"])
+def test_meta_names_may_hold_a_unicode_line_separator(tmp_path, separator):
+    # a line ends only at \n, \r\n or \r, so the separator is names' text
+    (tmp_path / "meta").write_text(
+        f"n=3\nV=1\nc=2\nnames=alpha{separator}beta\n", encoding="utf-8"
+    )
+    np.savetxt(tmp_path / "features_v1.csv", np.eye(3), delimiter=",")
+    (tmp_path / "graph_v1.tsv").write_text("0 1\n")
+    assert load_dataset(tmp_path).n == 3
+
+
+@pytest.mark.parametrize("ending", [b"\r", b"\r\n"], ids=["CR", "CRLF"])
+@pytest.mark.parametrize("name", ["labels.txt", "run.conf"])
+def test_a_bad_byte_is_named_by_its_line_whatever_the_line_ending(
+    tmp_path, name, ending
+):
+    path = tmp_path / name
+    read = read_labels if name == "labels.txt" else parse_config_file
+    first = [b"0", b"1"] if name == "labels.txt" else [b"tau=5.0", b"rho=1.0"]
+    path.write_bytes(ending.join([*first, first[0] + b" caf\xe9", first[1]]))
+    with pytest.raises(
+        DatasetError, match=rf"^{name} line 3: byte 0xe9 is not valid UTF-8$"
+    ):
+        read(path)
+    # a bad line that decodes is named by the same count
+    path.write_bytes(ending.join([*first, b"x=", first[1]]))
+    with pytest.raises(DatasetError, match=rf"^{name} line 3: "):
+        read(path)
 
 
 @pytest.mark.parametrize("value, directed", [

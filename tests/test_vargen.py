@@ -25,7 +25,6 @@ from mvgc.vargen import (
     elbo_loss,
     infer_posterior,
     kl_upper_bound,
-    logistic_noise,
     normalize_consensus,
     sample_consensus,
     view_prior_cross_entropy,
@@ -41,9 +40,16 @@ def graph_pair(n=6, seed=0, density=0.4):
     return out
 
 
-def bare_sample(alpha, tau, noise=None):
+def bare_sample(alpha, tau, rng=None):
     """``sample_consensus`` of bare logits: K = alpha and Q = I."""
-    return sample_consensus(alpha, np.eye(alpha.shape[0]), tau, noise=noise)
+    return sample_consensus(alpha, np.eye(alpha.shape[0]), tau, rng=rng)
+
+
+def two_log_noise(rng, shape):
+    """The logistic noise the sample adds: log(U) - log(1 - U) of
+    ``rng.random`` clipped off exact 0 and 1."""
+    u = np.clip(rng.random(shape), 1e-12, 1.0 - 1e-12)
+    return np.log(u) - np.log1p(-u)
 
 
 def test_prior_of_unanimous_edge_is_one():
@@ -99,10 +105,10 @@ def test_eval_sample_is_the_noise_free_sigmoid():
 
 def test_train_sample_replays_a_fixed_noise_matrix():
     alpha = np.random.default_rng(1).normal(size=(4, 4))
-    noise = np.random.default_rng(2).logistic(size=(4, 4))
-    first = bare_sample(Tensor(alpha), tau=2.0, noise=noise)
-    second = bare_sample(Tensor(alpha), tau=2.0, noise=noise)
+    first = bare_sample(Tensor(alpha), tau=2.0, rng=np.random.default_rng(2))
+    second = bare_sample(Tensor(alpha), tau=2.0, rng=np.random.default_rng(2))
     assert np.array_equal(first.value, second.value)
+    noise = two_log_noise(np.random.default_rng(2), (4, 4))
     assert np.allclose(
         first.value, 1.0 / (1.0 + np.exp(-(alpha + noise) / 2.0))
     )
@@ -119,15 +125,23 @@ def test_sample_consensus_validates_arguments():
 def test_relaxed_sample_stays_strictly_inside_unit_interval(seed, tau):
     rng = np.random.default_rng(seed)
     alpha = Tensor(rng.normal(scale=10.0, size=(6, 6)))
-    s = bare_sample(alpha, tau, logistic_noise(rng, (6, 6))).value
+    s = bare_sample(alpha, tau, rng).value
     assert np.all(np.isfinite(s))
     assert (s > 0.0).all() and (s < 1.0).all()
 
 
-def test_logistic_noise_matches_the_two_log_formula_bit_for_bit():
-    u = np.clip(np.random.default_rng(3).random((7, 5)), 1e-12, 1.0 - 1e-12)
-    expected = np.log(u) - np.log1p(-u)
-    got = logistic_noise(np.random.default_rng(3), (7, 5))
+@pytest.mark.parametrize("block", [7, 21])
+def test_sample_noise_drawn_in_row_blocks_matches_the_two_log_formula_bit_for_bit(
+    block
+):
+    # the noise is drawn one row at a time, then three rows at a time with
+    # a shorter last block
+    alpha = np.random.default_rng(4).normal(size=(7, 7))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor, "_BLOCK_ENTRIES", block)
+        got = bare_sample(Tensor(alpha), 0.7, np.random.default_rng(3)).value
+    noise = two_log_noise(np.random.default_rng(3), (7, 7))
+    expected = np.clip(special.expit((alpha + noise) / 0.7), 1e-12, 1.0 - 1e-12)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -136,9 +150,7 @@ def test_larger_temperature_shrinks_sample_spread():
     spreads = []
     for tau in (0.5, 5.0, 50.0):
         draws = [
-            bare_sample(
-                alpha, tau, logistic_noise(np.random.default_rng(i), (30, 30))
-            ).value
+            bare_sample(alpha, tau, np.random.default_rng(i)).value
             for i in range(40)
         ]
         spreads.append(np.var(np.stack(draws)))
@@ -243,11 +255,11 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _primitive_sample(k, q, tau, noise=None):
+def _primitive_sample(k, q, tau, rng=None):
     """``sample_consensus`` as the chain of primitive ops its node fuses."""
     alpha = k @ q.T
-    if noise is not None:
-        alpha = alpha + noise
+    if rng is not None:
+        alpha = alpha + two_log_noise(rng, alpha.shape)
     return (alpha / tau).sigmoid().clip(1e-12, 1.0 - 1e-12)
 
 
@@ -287,19 +299,21 @@ def test_sample_node_matches_the_primitive_chain_bit_for_bit(
         q0 = np.eye(n)
     else:
         k0, q0 = rng.normal(scale=scale, size=(2, n, 3))
-    noise = logistic_noise(rng, (n, n)) if with_noise else None
+    noise_seed = int(rng.integers(2**32))
     weight = rng.normal(size=(n, n))
 
     def run(sample):
         k, q = Parameter(k0.copy()), Parameter(q0.copy())
-        out = sample(k, q, tau, noise)
+        # each run draws its noise from an identically seeded generator
+        noise_rng = np.random.default_rng(noise_seed) if with_noise else None
+        out = sample(k, q, tau, noise_rng)
         # K and Q have a second consumer, so the order of their gradient
         # contributions shows in the bits
         terms = [(out * weight).sum(), (k * q).sum()]
         backward(terms[1] + terms[0] if other_first else terms[0] + terms[1])
         return out.value, k.grad, q.grad
 
-    fused = run(lambda k, q, t, e: sample_consensus(k, q, t, noise=e))
+    fused = run(sample_consensus)
     primitive = run(_primitive_sample)
     assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
 
@@ -374,13 +388,11 @@ def _square_float_arrays(held, n):
 def test_sample_and_decode_nodes_keep_the_noise_and_intermediates_off_the_tape():
     rng = np.random.default_rng(17)
     k, q = Parameter(rng.normal(size=(4, 3))), Parameter(rng.normal(size=(4, 3)))
-    noise = logistic_noise(rng, (4, 4))
-    sample = sample_consensus(k, q, 2.0, noise=noise)
+    sample = sample_consensus(k, q, 2.0, rng=rng)
     # of the float n x n arrays, the sample keeps only its own output, the
-    # buffer the logits K Q^T were formed in
+    # buffer the logits K Q^T and the noise were added in
     assert all(parent._grad_fn is None for parent in sample._parents)
     held = [cell.cell_contents for cell in sample._grad_fn.__closure__]
-    assert not any(obj is noise for obj in held)
     big = _square_float_arrays(held, 4)
     assert len(big) == 1 and big[0] is sample.value
 
