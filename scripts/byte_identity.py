@@ -1,6 +1,7 @@
 """Check that two source trees of mvgc produce byte-identical outputs.
 
     python3 scripts/byte_identity.py --parent SRC --change SRC [--work DIR]
+    python3 scripts/byte_identity.py --blas-threads --change SRC [--work DIR]
 
 For each tree, with its own ``src/`` on ``PYTHONPATH``, the script runs
 fixed-seed ``mvgc synth``, then ``mvgc cluster --export-embeddings
@@ -10,8 +11,12 @@ suite at seeds 0 and 3.  Datasets, run directories, standard
 output and exit codes land in WORK/parent and WORK/change, and the two are
 compared file by file.  Exit status 0 means every run exited 0 and no file
 differs; 1 names the first run, on either side, that exited non-zero, or
-else the first file that differs.  WORK defaults to a temporary directory,
+else every file that differs.  WORK defaults to a temporary directory,
 removed at the end; a given one is kept.
+
+With ``--blas-threads`` the one tree ``--change`` runs twice, into
+WORK/threads1 and WORK/threads2, with ``OPENBLAS_NUM_THREADS`` set to 1 and
+to 2 in each child's environment alone.
 """
 
 import argparse
@@ -40,60 +45,71 @@ SUITES = ("theorem1", "theorem2", "temperature", "gradients", "metrics-oracle")
 VERIFY_SEEDS = (0, 3)
 
 
-def _mvgc(tree, cwd, args, log):
+def child_env(tree, blas_threads=None):
+    """The environment of a child run of ``tree``: this process's, with the
+    tree's ``src/`` as ``PYTHONPATH`` and, given ``blas_threads``, that
+    ``OPENBLAS_NUM_THREADS``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    return env
+
+
+def _mvgc(tree, cwd, args, log, blas_threads):
     """Run ``python -m mvgc ARGS`` from ``tree`` in ``cwd``; its standard
     output and exit code go to ``cwd/log``, and its standard error, which
     only carries progress, to the terminal."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
     done = subprocess.run(
-        [sys.executable, "-m", "mvgc", *args], cwd=cwd, env=env,
-        stdout=subprocess.PIPE, check=False,
+        [sys.executable, "-m", "mvgc", *args], cwd=cwd,
+        env=child_env(tree, blas_threads), stdout=subprocess.PIPE, check=False,
     )
     (cwd / log).write_bytes(done.stdout + f"exit {done.returncode}\n".encode())
 
 
-def run_tree(tree, out):
-    """Write every output the check compares for source tree ``tree``."""
+def run_tree(tree, out, blas_threads=None):
+    """Write every output the check compares for source tree ``tree``, with
+    ``blas_threads`` as its children's ``OPENBLAS_NUM_THREADS`` if given."""
     out.mkdir(parents=True)
+
+    def mvgc(args, log):
+        _mvgc(tree, out, args, log, blas_threads)
+
     for name, synth, cluster, drop_graphs in SHAPES:
-        print(f"{tree}: {name}", file=sys.stderr, flush=True)
-        _mvgc(tree, out, ["synth", "--out", f"{name}/data", *synth],
-              f"{name}.synth.txt")
+        print(f"{out}: {name}", file=sys.stderr, flush=True)
+        mvgc(["synth", "--out", f"{name}/data", *synth], f"{name}.synth.txt")
         if drop_graphs:
             for path in (out / name / "data").glob("graph_v*.tsv"):
                 path.unlink()
-        _mvgc(tree, out,
-              ["cluster", f"{name}/data", "--out", f"{name}/run", "--seed", "1",
-               *cluster, "--export-embeddings", "--export-consensus"],
-              f"{name}.cluster.txt")
-        _mvgc(tree, out,
-              ["metrics", f"{name}/data/labels.txt", f"{name}/run/labels.txt"],
-              f"{name}.metrics.txt")
+        mvgc(["cluster", f"{name}/data", "--out", f"{name}/run", "--seed", "1",
+              *cluster, "--export-embeddings", "--export-consensus"],
+             f"{name}.cluster.txt")
+        mvgc(["metrics", f"{name}/data/labels.txt", f"{name}/run/labels.txt"],
+             f"{name}.metrics.txt")
     for suite in SUITES:
         for seed in VERIFY_SEEDS:
-            print(f"{tree}: verify {suite} --seed {seed}", file=sys.stderr, flush=True)
-            _mvgc(tree, out, ["verify", suite, "--seed", str(seed)],
-                  f"verify.{suite}.{seed}.txt")
+            print(f"{out}: verify {suite} --seed {seed}", file=sys.stderr, flush=True)
+            mvgc(["verify", suite, "--seed", str(seed)],
+                 f"verify.{suite}.{seed}.txt")
 
 
 def _files(root):
     return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
 
 
-def first_difference(a, b):
-    """None when directories ``a`` and ``b`` hold the same files with the
-    same bytes; otherwise a line naming the first file, in sorted path
-    order, that is missing from one side or differs."""
+def differences(a, b):
+    """One line for each file, in sorted path order, that is missing from
+    directory ``a`` or ``b`` or differs between them."""
     a, b = Path(a), Path(b)
     files_a, files_b = _files(a), _files(b)
+    out = []
     for rel in sorted(set(files_a) | set(files_b)):
         if rel not in files_b:
-            return f"{rel}: only in {a}"
-        if rel not in files_a:
-            return f"{rel}: only in {b}"
-        if (a / rel).read_bytes() != (b / rel).read_bytes():
-            return f"{rel}: differs"
-    return None
+            out.append(f"{rel}: only in {a}")
+        elif rel not in files_a:
+            out.append(f"{rel}: only in {b}")
+        elif (a / rel).read_bytes() != (b / rel).read_bytes():
+            out.append(f"{rel}: differs")
+    return out
 
 
 def failed_runs(root):
@@ -105,39 +121,51 @@ def failed_runs(root):
     ]
 
 
-def verdict(parent, change):
+def verdict(parent, change, labels=("parent", "change")):
     """None when every run in output directories ``parent`` and ``change``
     exited 0 and the two hold the same bytes; otherwise a line naming the
-    first failed run, the parent's first, or else the first difference."""
-    for label, root in (("parent", parent), ("change", change)):
+    first failed run, the parent's first, by its side's label, or else one
+    line per difference."""
+    for label, root in zip(labels, (parent, change)):
         failed = failed_runs(root)
         if failed:
             return f"{label} run failed: {failed[0]}"
-    return first_difference(parent, change)
+    return "\n".join(differences(parent, change)) or None
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, type=Path,
+    parser.add_argument("--parent", type=Path,
                         help="source tree of the parent commit")
     parser.add_argument("--change", required=True, type=Path,
                         help="source tree of the change")
+    parser.add_argument("--blas-threads", action="store_true",
+                        help="run --change with 1 and with 2 OpenBLAS threads "
+                             "instead of against --parent")
     parser.add_argument("--work", type=Path, default=None,
-                        help="where to write both trees' outputs (kept)")
+                        help="where to write both runs' outputs (kept)")
     args = parser.parse_args(argv)
-    for tree in (args.parent, args.change):
+    if (args.parent is None) != args.blas_threads:
+        parser.error("give exactly one of --parent and --blas-threads")
+    if args.blas_threads:
+        runs = [(f"threads{t}", args.change, t) for t in (1, 2)]
+    else:
+        runs = [("parent", args.parent, None), ("change", args.change, None)]
+    for _, tree, _ in runs:
         if not (tree / "src" / "mvgc").is_dir():
             parser.error(f"{tree} holds no src/mvgc")
     work = args.work or Path(tempfile.mkdtemp(prefix="byte_identity_"))
     try:
-        for label, tree in (("parent", args.parent), ("change", args.change)):
-            run_tree(tree, work / label)
-        difference = verdict(work / "parent", work / "change")
+        for label, tree, threads in runs:
+            run_tree(tree, work / label, threads)
+        labels = [label for label, _, _ in runs]
+        difference = verdict(*(work / label for label in labels), labels)
     finally:
         if args.work is None:
             shutil.rmtree(work)
     if difference is not None:
-        print(f"byte identity: {difference}")
+        for line in difference.splitlines():
+            print(f"byte identity: {line}")
         return 1
     print("byte identity: no difference")
     return 0

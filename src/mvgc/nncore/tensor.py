@@ -43,10 +43,10 @@ skip forming a mask that serves the backward alone.
 
 The clamped BCE has one home, ``binary_cross_entropy``; its per-entry terms
 ``_bce_terms`` also give the adjacency likelihood in ``mvgc.vargen`` the
-constant term of an entry the clamp decides.  That likelihood is the
-sigmoid -> BCE chain unless the clamp decides every entry, that is unless
-every |logit| lies beyond logit(1 - clamp) + 1; then its gradient is zero
-by construction, and it records no node and sums per-entry constants.
+constant terms of an edge and a non-edge at an infinite positive logit.
+That likelihood is the sigmoid -> BCE chain unless every logit exceeds
+logit(1 - clamp) + 1; then its gradient is zero by construction, and it
+records no node and sums those two constants.
 
 ``backward`` consumes the tape node by node: once a node has passed its
 gradient on, its closure and parent links are dropped, so each intermediate

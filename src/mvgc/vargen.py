@@ -7,9 +7,9 @@ sampled through the binary-concrete relaxation so gradients reach the
 posterior net.  The ELBO combines per-view adjacency likelihoods (each view's
 decoder logits, ``decode_adjacency``, scored by ``adjacency_nll``), the
 entropy of the relaxed sample, and a closed-form upper bound on the KL term.
-A likelihood is the plain sigmoid -> BCE chain, unless the BCE clamp decides
-every entry: then it is a constant summed from per-entry terms, and the
-logits leave no node on the tape.
+A likelihood is the plain sigmoid -> BCE chain, unless every logit is
+positive and beyond the BCE clamp: then it is a constant summed from an edge
+and a non-edge term, and the logits leave no node on the tape.
 """
 
 import math
@@ -63,9 +63,9 @@ class PosteriorNet:
 
 def _belief_array(beliefs):
     """``beliefs`` as a float64 array; ``ValueError`` unless each lies in
-    (0, 1]."""
+    (0, 1], which a NaN does not."""
     b = np.asarray(beliefs, dtype=np.float64)
-    if (b <= 0).any() or (b > 1).any():
+    if not ((b > 0) & (b <= 1)).all():
         raise ValueError("beliefs must lie in (0, 1]")
     return b
 
@@ -221,12 +221,9 @@ def decode_adjacency(z):
 # [clamp, 1 - clamp] by a margin that dwarfs expit's rounding, so the clip
 # decides the entry
 _DECIDED_LOGIT = float(special.logit(1.0 - BCE_CLAMP)) + 1.0
-# the term of a decided entry is the term at an infinite logit, at index
-# (sign bit << 1) | edge bit: a negative logit's non-edge and edge, then a
-# positive logit's
-_DECIDED_TERMS = _bce_terms(
-    np.array([0.0, 1.0, 0.0, 1.0]),
-    special.expit(np.array([-np.inf, -np.inf, np.inf, np.inf])),
+# the terms of an edge and of a non-edge at an infinite positive logit
+_EDGE_TERM, _NON_EDGE_TERM = _bce_terms(
+    np.array([1.0, 0.0]), special.expit(np.array([np.inf, np.inf]))
 )
 
 
@@ -238,30 +235,22 @@ def adjacency_nll(graph, logits):
     chain keeps the logits, their sigmoid and the dense adjacency on the
     tape.
 
-    Decided entries: where |logit| exceeds ``_DECIDED_LOGIT`` (about 17.1),
-    the clamp alone sets the entry's term, and its gradient is zero.  When
-    every entry is decided (an infinite logit is; a NaN is not), the sum
-    comes from ``_DECIDED_TERMS`` instead, indexed by the sign of each logit
-    and, from the graph's edges, whether the entry is an edge, through one
-    uint8 array built in place of the sign mask.  The terms are summed in
-    the chain's n x n layout, untracked: no tape node, no backward, and no
-    sigmoid or log over the n x n logits.  The value is the chain's bit for
-    bit.
+    When every logit exceeds ``_DECIDED_LOGIT`` (about 17.1; an infinite
+    logit does, a NaN does not), the clamp alone sets every entry's term
+    and its gradient is zero: the sum comes from ``_NON_EDGE_TERM``, with
+    ``_EDGE_TERM`` written on the graph's edges, summed in the chain's
+    n x n layout, untracked.  That is one reduction to test, no tape node,
+    no backward, and no sigmoid or log over the n x n logits, and the value
+    is the chain's bit for bit.  Every other input, negative decided logits
+    included, takes the chain.
     """
     logits = _wrap(logits)
     lv = logits.value
-    positive = lv > _DECIDED_LOGIT
-    decided = lv < -_DECIDED_LOGIT
-    decided |= positive
-    if not decided.all():
+    if not lv.min() > _DECIDED_LOGIT:
         return binary_cross_entropy(graph.adj.toarray(), logits.sigmoid())
-    del decided
-    index = positive.view(np.uint8)
-    index <<= 1
-    index[graph.edges()] |= 1
-    # indexing casts the uint8 index a buffer at a time, where take would
-    # first copy it whole to intp
-    return Tensor(_DECIDED_TERMS[index].sum())
+    terms = np.full(lv.shape, _NON_EDGE_TERM)
+    terms[graph.edges()] = _EDGE_TERM
+    return Tensor(terms.sum())
 
 
 def elbo_loss(likelihood, s, kl_bound):

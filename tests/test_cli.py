@@ -298,6 +298,30 @@ def test_python_dash_m_runs_the_cli():
     assert result.stdout.startswith("usage: mvgc")
 
 
+def test_one_and_two_blas_threads_give_the_same_n200_run(tmp_path, capsys):
+    # the criterion-5 dataset shape, where the products round alike on 1
+    # and 2 OpenBLAS threads; the thread count is set in each child alone
+    assert main(["synth", "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "mvgc", "cluster", str(tmp_path / "data"),
+             "--out", str(out), "--epochs", "3", "--export-embeddings",
+             "--export-consensus"],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC),
+                 "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert result.returncode == 0, result.stderr
+        runs[threads] = (result.stdout, {
+            path.name: path.read_bytes() for path in sorted(out.iterdir())
+        })
+    assert len(runs["1"][1]) > 3
+    assert runs["1"] == runs["2"]
+
+
 def test_knn_k_not_below_the_node_count_exits_two(tmp_path, capsys):
     data = synth(tmp_path)
     (data / "graph_v1.tsv").unlink()

@@ -20,7 +20,8 @@ from mvgc.nncore import Parameter, backward, tensor
 from mvgc.nncore.tensor import BCE_CLAMP, _bce_terms
 from mvgc.vargen import (
     _DECIDED_LOGIT,
-    _DECIDED_TERMS,
+    _EDGE_TERM,
+    _NON_EDGE_TERM,
     adjacency_nll,
     compute_prior_beta,
 )
@@ -69,13 +70,11 @@ def _dense_prior(adjs, beliefs, eps=1e-6):
 
 def _dense_nll(adj, logits):
     """Value and gradient of the dense likelihood node: the clamp-decided
-    sum when every entry is decided, otherwise the full chain."""
+    sum when every logit exceeds the bound, otherwise the full chain."""
     lv = logits.value
-    positive = lv > _DECIDED_LOGIT
-    decided = (lv < -_DECIDED_LOGIT) | positive
-    if decided.all():
-        index = (positive.view(np.uint8) << 1) | (adj > 0.0).view(np.uint8)
-        return _DECIDED_TERMS.take(index).sum(), np.zeros_like(lv)
+    if (lv > _DECIDED_LOGIT).all():
+        terms = np.where(adj > 0.0, _EDGE_TERM, _NON_EDGE_TERM)
+        return terms.sum(), np.zeros_like(lv)
     lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
     a_hat = special.expit(lv)
     q = np.clip(a_hat, lo, hi)
@@ -197,13 +196,19 @@ _LOGITS = np.concatenate([_LOGITS, -_LOGITS])
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 2**32 - 1), st.integers(1, 7), st.floats(0.0, 1.0),
-    st.booleans(),
+    st.booleans(), st.booleans(),
 )
-@example(0, 5, 0.4, True)
-@example(0, 5, 0.4, False)
-def test_likelihood_matches_the_dense_node_bit_for_bit(seed, n, density, decided):
+@example(0, 5, 0.4, True, False)
+@example(0, 5, 0.4, True, True)
+@example(0, 5, 0.4, False, False)
+def test_likelihood_matches_the_dense_node_bit_for_bit(
+    seed, n, density, decided, positive
+):
+    # positive: only the pool's positive logits
     rng = np.random.default_rng(seed)
     pool = _LOGITS[np.abs(_LOGITS) > _DECIDED_LOGIT] if decided else _LOGITS
+    if positive:
+        pool = pool[pool > 0.0]
     logits0 = rng.choice(pool, size=(n, n))
     adj = _random_adjacency(rng, n, density, symmetric=False)
     logits = Parameter(logits0.copy())

@@ -88,6 +88,8 @@ def test_prior_validates_inputs():
     with pytest.raises(ValueError):
         compute_prior_beta([g], beliefs=(0.0,))
     with pytest.raises(ValueError):
+        compute_prior_beta([g, g], beliefs=(np.nan, 1.0))
+    with pytest.raises(ValueError):
         compute_prior_beta([g, Graph(np.zeros((2, 2)))], beliefs=(1.0, 1.0))
 
 
@@ -236,6 +238,8 @@ def test_view_cross_entropy_rejects_a_degenerate_slice():
     graphs = graph_pair(n=10, seed=15)
     with pytest.raises(ValueError, match="degenerates"):
         view_prior_cross_entropy(graphs[0], (0.1, 0.5), view=0)
+    with pytest.raises(ValueError, match="beliefs must lie"):
+        view_prior_cross_entropy(graphs[0], (np.nan, 1.0), view=1)
 
 
 def test_view_cross_entropy_matches_entrywise_prior_slice():
@@ -417,23 +421,25 @@ def _edges(rng, n):
 
 def _decoder_input(rng, n, d, decided):
     """Z whose logits Z Z^T lie all within the decided bound ("none"), all
-    beyond it ("all": a +-40 first column dominates every product), or
-    on both sides ("some")."""
+    beyond it ("all": a +-40 first column dominates every product;
+    "positive": a +40 first column, so every logit is positive), or on
+    both sides ("some")."""
     if decided == "none":
         return rng.uniform(-0.5, 0.5, size=(n, d)) * np.sqrt(17.0 / d)
     if decided == "some":
         return rng.normal(scale=3.0, size=(n, d))
     z = rng.uniform(-1.0, 1.0, size=(n, d))
-    z[:, 0] = rng.choice([-40.0, 40.0], size=n)
+    z[:, 0] = 40.0 if decided == "positive" else rng.choice([-40.0, 40.0], size=n)
     return z
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 5),
-    st.sampled_from(["none", "some", "all"]), st.booleans(),
+    st.sampled_from(["none", "some", "all", "positive"]), st.booleans(),
 )
 @example(0, 6, 3, "all", False)
+@example(0, 6, 3, "positive", False)
 @example(0, 6, 3, "none", True)
 def test_likelihood_node_matches_the_primitive_chain_bit_for_bit(
     seed, n, d, decided, other_first
@@ -441,8 +447,11 @@ def test_likelihood_node_matches_the_primitive_chain_bit_for_bit(
     rng = np.random.default_rng(seed)
     z0 = _decoder_input(rng, n, d, decided)
     graph = _edges(rng, n)
-    above = np.abs(z0 @ z0.T) > _DECIDED_LOGIT
-    assert {"none": not above.any(), "all": above.all()}.get(decided, True)
+    logits = z0 @ z0.T
+    above = np.abs(logits) > _DECIDED_LOGIT
+    assert {
+        "none": not above.any(), "all": above.all(), "positive": above.all()
+    }.get(decided, True)
 
     def run(decode, nll):
         z = Parameter(z0.copy())
@@ -457,8 +466,8 @@ def test_likelihood_node_matches_the_primitive_chain_bit_for_bit(
     primitive = run(_primitive_decode, _primitive_nll)
     assert _same_bits(fused[0].value, primitive[0].value)
     assert np.array_equal(fused[1], primitive[1])
-    # only a node with an undecided entry reaches the tape
-    assert (fused[0]._grad_fn is None) == bool(above.all())
+    # the node skips the tape exactly when every logit exceeds the bound
+    assert (fused[0]._grad_fn is None) == bool((logits > _DECIDED_LOGIT).all())
 
 
 # logits on and next to the decided bound, beyond it, at infinity, and well
@@ -471,11 +480,18 @@ _BOUND_LOGITS = np.concatenate([_BOUND_LOGITS, -_BOUND_LOGITS])
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans())
-@example(0, 4, True)
-def test_likelihood_node_on_the_decided_bound_and_at_infinity(seed, n, beyond):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans(), st.booleans())
+@example(0, 4, True, False)
+@example(0, 4, True, True)
+def test_likelihood_node_on_the_decided_bound_and_at_infinity(
+    seed, n, beyond, positive
+):
+    # positive: only the pool's positive logits, so with beyond every
+    # logit exceeds the bound and the node skips the tape
     rng = np.random.default_rng(seed)
     pool = _BOUND_LOGITS[np.abs(_BOUND_LOGITS) > _DECIDED_LOGIT] if beyond else _BOUND_LOGITS
+    if positive:
+        pool = pool[pool > 0.0]
     logits0 = rng.choice(pool, size=(n, n))
     graph = _edges(rng, n)
 
