@@ -11,13 +11,16 @@ epoch with the default ``RunConfig``, and then runs the second epoch under
 The epoch is split into phases by wrapping, at run time, the names that
 ``mvgc.trainer`` calls, so library code stays free of profiling:
 
-- ``eval pass``, ``k-means``, ``beliefs`` and ``prior`` in ``prepare_epoch``;
+- ``eval pass``, ``k-means``, ``beliefs`` and ``prior`` (the KL bound from
+  the edge-pattern counts) in ``prepare_epoch``;
 - ``forward <stage>`` for each stage of ``build_loss``, and ``forward
   build_loss`` for the sums that join them (``forward sample_consensus``
-  includes the concrete noise, which the sample node draws itself); a
-  stage called outside ``build_loss`` and outside the eval pass, as
-  ``prepare_epoch`` calls ``fuse`` for k-means and the beliefs, is ``eval
-  <stage>``;
+  includes the concrete noise, which the sample node draws itself;
+  ``forward adjacency_nll`` holds the whole likelihood of each view: the
+  decoder certificate and either the count-form score or, when the
+  certificate fails, ``adjacency_nll`` itself); a stage called outside
+  ``build_loss`` and outside the eval pass, as ``prepare_epoch`` calls
+  ``fuse`` for k-means and the beliefs, is ``eval <stage>``;
 - ``backward <stage>`` for the gradient functions of the tape nodes that
   stage recorded, and ``backward`` for the walk between them;
 - ``zero_grads`` and ``adam``; ``other`` is everything outside these.
@@ -55,6 +58,8 @@ FORWARD_STAGES = (
 )
 # the entropy that elbo_loss calls from mvgc.vargen
 ELBO_STAGES = ("bernoulli_entropy",)
+# the likelihood's other stages, credited to the stage they stand in for
+LIKELIHOOD_STAGES = ("decoder_certified", "decided_nll")
 
 
 class Phases:
@@ -142,7 +147,11 @@ class Phases:
 
 def install(phases):
     """Wrap the trainer's calls, the vargen stage elbo_loss calls, every
-    mvgc module's ``_record`` and ``Tensor.backward``."""
+    mvgc module's ``_record`` and ``Tensor.backward``.  A name the tree's
+    trainer does not bind is skipped, so that trees from before and after
+    the count-form KL bound and likelihood can be compared: older ones form
+    the prior with ``compute_prior_beta`` and ``kl_upper_bound``, and have
+    no certificate."""
     import mvgc.trainer as trainer
     from mvgc import vargen
     from mvgc.nncore import tensor
@@ -151,13 +160,18 @@ def install(phases):
     for name, label in (
         ("_forward_eval", "eval pass"), ("kmeans", "k-means"),
         ("update_beliefs", "beliefs"), ("compute_prior_beta", "prior"),
-        ("kl_upper_bound", "prior"), ("zero_grads", "zero_grads"),
-        ("adam_step", "adam"),
+        ("kl_upper_bound", "prior"), ("pattern_kl_bound", "prior"),
+        ("zero_grads", "zero_grads"), ("adam_step", "adam"),
     ):
-        setattr(trainer, name, phases.wrap(getattr(trainer, name), label))
+        if hasattr(trainer, name):
+            setattr(trainer, name, phases.wrap(getattr(trainer, name), label))
     for module, names in ((trainer, FORWARD_STAGES), (vargen, ELBO_STAGES)):
         for name in names:
             setattr(module, name, phases.wrap_stage(getattr(module, name), name))
+    for name in LIKELIHOOD_STAGES:
+        if hasattr(trainer, name):
+            setattr(trainer, name,
+                    phases.wrap_stage(getattr(trainer, name), "adjacency_nll"))
     record = tensor._record
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("mvgc")

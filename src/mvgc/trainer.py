@@ -12,15 +12,18 @@ logistic noise, dropout) then builds the differentiable objective
 
 where L_r reconstructs the per-view and global features, L_c pulls soft
 assignments toward a sharpened target, and L_E is the evidence bound on the
-consensus-graph posterior: ``build_loss`` scores each view's decoded
-adjacency in turn and hands the summed likelihood to ``elbo_loss``.  The
-belief update itself is never differentiated through; beliefs, one float per
-view, are loss constants refreshed each epoch.
+consensus-graph posterior: ``build_loss`` scores each view's adjacency in
+turn and hands the summed likelihood to ``elbo_loss``.  A view whose
+embedding passes ``decoder_certified`` is scored from its edge count
+(``decided_nll``); any other is decoded and scored by ``adjacency_nll``.
+The belief update itself is never differentiated through; beliefs, one
+float per view, are loss constants refreshed each epoch.
 
 Everything that does not depend on the parameters is computed once, outside
 the loss: ``init_state`` message-passes each view's features along its own
-graph for the whole fit, and ``prepare_epoch`` computes the epoch's KL bound
-(from the incoming beliefs).  ``build_loss`` builds only the differentiable
+graph and counts the node pairs of each edge pattern, both for the whole
+fit, and ``prepare_epoch`` computes the epoch's KL bound from those counts
+and the incoming beliefs.  ``build_loss`` builds only the differentiable
 graph; the sample node draws the epoch's concrete noise from its own
 stream a row block at a time, into the sample's buffer, so no n x n noise
 array exists and no n x n array outlives the stage that reads it last.
@@ -47,19 +50,22 @@ from .encoder import (
     reconstruction_loss_global,
 )
 from .graph import add_self_loops, row_normalize
-# acc, ari, f1 and nmi stay bound here: perfbench's traced run wraps them by
-# these names
+# acc, ari, f1 and nmi, and compute_prior_beta below, stay bound here:
+# perfbench's traced run wraps them by these names
 from .metrics import acc, ari, f1, nmi, score  # noqa: F401
 from .nncore import MLP, OptimizerState, adam_step, no_grad, zero_grads
+from .vargen import compute_prior_beta  # noqa: F401
 from .vargen import (
     PosteriorNet,
     adjacency_nll,
-    compute_prior_beta,
     decode_adjacency,
+    decided_nll,
+    decoder_certified,
+    edge_pattern_counts,
     elbo_loss,
     infer_posterior,
-    kl_upper_bound,
     normalize_consensus,
+    pattern_kl_bound,
     sample_consensus,
 )
 
@@ -94,8 +100,9 @@ def derived_seed(seed, epoch, purpose, view=None):
 @dataclass
 class TrainState:
     """Everything that persists across epochs: parameter groups, beliefs,
-    the optimizer, and ``specific``, each view's features message-passed
-    along its own normalized graph (an n x d_v array, constant for the fit).
+    the optimizer, and two constants of the fit: ``specific``, each view's
+    features message-passed along its own normalized graph (an n x d_v
+    array), and ``edge_patterns``, the graphs' ``edge_pattern_counts``.
 
     The optimizer holds every parameter's value and gradient in its flat
     store, in ``parameters()`` order."""
@@ -104,6 +111,7 @@ class TrainState:
     encoders: list
     global_decoder: MLP
     specific: list
+    edge_patterns: np.ndarray
     beliefs: tuple
     optimizer: OptimizerState
     epoch: int = 0
@@ -174,6 +182,7 @@ def init_state(dataset, config):
             message_pass(x, row_normalize(add_self_loops(g)), config.order).value
             for x, g in dataset.views
         ],
+        edge_patterns=edge_pattern_counts(dataset.graphs),
         beliefs=(1.0,) * dataset.num_views,
         optimizer=None,
     )
@@ -235,9 +244,7 @@ def prepare_epoch(state, dataset, config):
         seed=derived_seed(seed, epoch, "global"), restarts=config.restarts,
     )
     return EpochArtifacts(
-        kl_bound=kl_upper_bound(
-            compute_prior_beta(dataset.graphs, state.beliefs)
-        ),
+        kl_bound=pattern_kl_bound(state.edge_patterns, state.beliefs),
         beliefs=beliefs,
         pseudo_labels=pseudo.labels,
         view_centroids=tuple(r.centroids for r in view_results),
@@ -263,10 +270,15 @@ def build_loss(state, dataset, config, artifacts, p_global=None):
     for (x, _), z, enc in zip(dataset.views, z_views, state.encoders):
         l_r = l_r + reconstruction_loss(x, z, enc)
 
-    # each view's logits are freed once scored, before the next is decoded
+    # a certified view forms no logits; any other view's logits are freed
+    # once scored, before the next is decoded
     likelihood = 0.0
     for g, z in zip(dataset.graphs, z_views):
-        likelihood = likelihood - adjacency_nll(g, decode_adjacency(z))
+        if decoder_certified(z):
+            nll = decided_nll(g)
+        else:
+            nll = adjacency_nll(g, decode_adjacency(z))
+        likelihood = likelihood - nll
     l_e = elbo_loss(likelihood, sample, artifacts.kl_bound)
 
     zbar = fuse(z_views, artifacts.beliefs)

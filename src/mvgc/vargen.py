@@ -7,9 +7,22 @@ sampled through the binary-concrete relaxation so gradients reach the
 posterior net.  The ELBO combines per-view adjacency likelihoods (each view's
 decoder logits, ``decode_adjacency``, scored by ``adjacency_nll``), the
 entropy of the relaxed sample, and a closed-form upper bound on the KL term.
-A likelihood is the plain sigmoid -> BCE chain, unless every logit is
-positive and beyond the BCE clamp: then it is a constant summed from an edge
-and a non-edge term, and the logits leave no node on the tape.
+
+Two of those terms are constants of every default fit, and are formed
+without an n x n array:
+
+- ``decoder_certified`` proves in O(n d), from the embedding alone, that
+  every logit of Z Z^T is positive and beyond the BCE clamp.  The view's
+  likelihood is then ``decided_nll``: the edge and non-edge terms times
+  their counts, with no logits and no tape node.  Otherwise the logits are
+  decoded and ``adjacency_nll`` scores them: the plain sigmoid -> BCE chain,
+  or the same two terms summed over an n x n array when every logit is
+  decided and positive.
+- The prior ``compute_prior_beta`` takes one value per edge pattern (which
+  views hold the pair), so the KL bound is ``pattern_kl_bound``: a sum over
+  the 2^V patterns of the fit-constant ``edge_pattern_counts`` times
+  -log(prior).  ``compute_prior_beta`` and ``kl_upper_bound`` form the same
+  bound from the n x n prior; they are its reference.
 """
 
 import math
@@ -79,7 +92,10 @@ def compute_prior_beta(graphs, beliefs):
     Returns the n x n array of clamped probabilities.
 
     Each view's vote is densified for as long as it is added: an array of
-    1 - b^v with b^v set on the view's edges.
+    1 - b^v with b^v set on the view's edges.  A fit takes its KL bound from
+    ``pattern_kl_bound`` instead, which forms the same values one per edge
+    pattern; this n x n form is its reference in the tests and in ``mvgc
+    verify theorem1``.
     """
     if not graphs:
         raise ValueError("need at least one graph")
@@ -203,8 +219,55 @@ def normalize_consensus(s):
 
 def kl_upper_bound(beta):
     """Sum of log(1/beta) over all pairs of the prior ``beta``: the
-    closed-form bound on the KL divergence from posterior to prior."""
+    closed-form bound on the KL divergence from posterior to prior.  The
+    n x n reference of ``pattern_kl_bound``."""
     return float(-np.log(beta).sum())
+
+
+def edge_pattern_counts(graphs):
+    """How many node pairs hold each edge pattern: entry p counts the pairs
+    that are edges of exactly the views v with bit v of p set.  The counts
+    depend on the graphs alone, so a fit forms them once.  Pattern 0, the
+    pairs no view holds, is the remainder of n^2."""
+    if not graphs:
+        raise ValueError("need at least one graph")
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("graphs disagree on node count")
+    keys = np.concatenate(
+        [np.ravel_multi_index(g.edges(), (n, n)) for g in graphs]
+    )
+    bits = np.repeat(1 << np.arange(len(graphs)), [g.adj.nnz for g in graphs])
+    pairs, pair_of = np.unique(keys, return_inverse=True)
+    # each view holds a pair at most once, so a pair's bits sum to its pattern
+    patterns = np.bincount(pair_of, weights=bits, minlength=pairs.size)
+    counts = np.bincount(patterns.astype(np.int64), minlength=1 << len(graphs))
+    counts[0] = n * n - pairs.size
+    return counts
+
+
+def pattern_kl_bound(counts, beliefs):
+    """``kl_upper_bound(compute_prior_beta(graphs, beliefs))`` from the
+    graphs' ``edge_pattern_counts``, with no n x n array.
+
+    Each pattern's prior is formed by the ops ``compute_prior_beta`` applies
+    to every pair of that pattern, view by view in the same order, so it is
+    the same value bit for bit.  The bound is the sum of count x -log(prior)
+    over the 2^V patterns; it differs from the n x n sum only in rounding.
+    """
+    b = _belief_array(beliefs)
+    counts = np.asarray(counts)
+    if counts.shape != (1 << b.size,):
+        raise ValueError(
+            f"{counts.size} pattern counts but {b.size} beliefs"
+        )
+    held = (np.arange(counts.size)[:, None] >> np.arange(b.size)) & 1
+    votes = np.where(held[:, 0], b[0], 1.0 - b[0])
+    for v in range(1, b.size):
+        votes += np.where(held[:, v], b[v], 1.0 - b[v])
+    votes /= b.sum()
+    beta = np.clip(votes, _PRIOR_FLOOR, 1.0)
+    return float(-(counts @ np.log(beta)))
 
 
 def decode_adjacency(z):
@@ -242,7 +305,9 @@ def adjacency_nll(graph, logits):
     n x n layout, untracked.  That is one reduction to test, no tape node,
     no backward, and no sigmoid or log over the n x n logits, and the value
     is the chain's bit for bit.  Every other input, negative decided logits
-    included, takes the chain.
+    included, takes the chain.  A fit calls this only when
+    ``decoder_certified`` fails; otherwise ``decided_nll`` gives the decided
+    value without the logits.
     """
     logits = _wrap(logits)
     lv = logits.value
@@ -251,6 +316,52 @@ def adjacency_nll(graph, logits):
     terms = np.full(lv.shape, _NON_EDGE_TERM)
     terms[graph.edges()] = _EDGE_TERM
     return Tensor(terms.sum())
+
+
+# the certificate's margin for rounding, relative to the largest |z_i|^2
+_CERTIFICATE_SLACK = 1e-9
+
+
+def decoder_certified(z):
+    """Whether every decoder logit z_i . z_j of the embedding ``z`` provably
+    exceeds ``_DECIDED_LOGIT``, found in O(n d) without forming Z Z^T.
+
+    Let u be Z's column sum, normalized, and split each row as
+    z_i = a_i u + r_i, with a_i = z_i . u and rho_i = |r_i|.  Then
+    z_i . z_j = a_i a_j + r_i . r_j >= a_i a_j - rho_i rho_j, so once every
+    a_i is positive, every logit is at least min_i(a_i a_min - rho_i
+    rho_max).  The certificate holds when that exceeds ``_DECIDED_LOGIT`` by
+    1e-9 max |z_i|^2, a slack that covers the rounding of this bound and of
+    the product.  rho is the norm of the residual itself: the root of
+    |z_i|^2 - a_i^2 would cancel.  A non-finite entry, a zero column sum,
+    a_min <= 0 or an overflow fails the certificate, without a warning.
+    """
+    z = _wrap(z).value
+    with np.errstate(all="ignore"):
+        u = z.sum(axis=0)
+        norm = np.sqrt(u @ u)
+        if not 0.0 < norm < math.inf:
+            return False
+        u /= norm
+        a = z @ u
+        a_min = a.min()
+        if not a_min > 0.0:
+            return False
+        r = z - np.outer(a, u)
+        rho = np.sqrt(np.einsum("ij,ij->i", r, r))
+        slack = _CERTIFICATE_SLACK * np.einsum("ij,ij->i", z, z).max()
+        return bool((a * a_min - rho * rho.max()).min() > _DECIDED_LOGIT + slack)
+
+
+def decided_nll(graph):
+    """``adjacency_nll`` of ``graph`` under logits that are all positive and
+    beyond ``_DECIDED_LOGIT``, as ``decoder_certified`` proves them: nnz
+    edge terms and n^2 - nnz non-edge terms, from the counts alone, with no
+    logits and no n x n array.  Untracked, since the clamp gives each such
+    entry a zero gradient.  It differs from the n x n sum only in rounding.
+    """
+    edges = graph.adj.nnz
+    return Tensor(edges * _EDGE_TERM + (graph.n ** 2 - edges) * _NON_EDGE_TERM)
 
 
 def elbo_loss(likelihood, s, kl_bound):

@@ -20,6 +20,15 @@ from mvgc.trainer import (
     rng_stream,
     train_epoch,
 )
+from mvgc.vargen import (
+    adjacency_nll,
+    compute_prior_beta,
+    decided_nll,
+    decode_adjacency,
+    edge_pattern_counts,
+    elbo_loss,
+    kl_upper_bound,
+)
 
 
 def toy_dataset(seed=0, n=24, noisy_view=None):
@@ -238,7 +247,10 @@ def test_neither_the_epoch_artifacts_nor_a_graph_hold_a_square_array():
     )
 
 
-def test_a_nan_decoder_logit_fails_the_epoch(monkeypatch):
+def _poison_the_decoder(monkeypatch, certify):
+    """Decode every logit to 50 but one NaN, and certify views by
+    ``certify``: a certified view is scored without decoding, so the
+    poisoned decoder runs only on the uncertified path."""
     real_decode = trainer.decode_adjacency
 
     def poisoned_decode(z):
@@ -248,9 +260,86 @@ def test_a_nan_decoder_logit_fails_the_epoch(monkeypatch):
         logits.value[0, 1] = np.nan
         return logits
 
+    monkeypatch.setattr(trainer, "decoder_certified", certify)
     monkeypatch.setattr(trainer, "decode_adjacency", poisoned_decode)
+
+
+def test_a_nan_decoder_logit_fails_the_epoch(monkeypatch):
+    _poison_the_decoder(monkeypatch, lambda z: False)
     with pytest.raises(TrainingError, match="^epoch 0: loss term 'elbo' is nan$"):
         fit(toy_dataset(), toy_config(epochs=2))
+
+
+def test_a_nan_in_the_embedding_fails_the_certificate(monkeypatch):
+    real_certify = trainer.decoder_certified
+
+    def certify(z):
+        # the toy embedding, saturated by a +40 first column, is certified;
+        # with the NaN the decoder will hold, it is refused
+        poisoned = z.value.copy()
+        poisoned[:, 0] += 40.0
+        assert real_certify(poisoned) is True
+        poisoned[0, 0] = np.nan
+        certified = real_certify(poisoned)
+        assert certified is False
+        return certified
+
+    _poison_the_decoder(monkeypatch, certify)
+    with pytest.raises(TrainingError, match="^epoch 0: loss term 'elbo' is nan$"):
+        fit(toy_dataset(), toy_config(epochs=2))
+
+
+def test_an_uncertified_view_is_scored_as_before_bit_for_bit(monkeypatch):
+    dataset, config = toy_dataset(), toy_config()
+    state = init_state(dataset, config)
+    artifacts = prepare_epoch(state, dataset, config)
+    monkeypatch.setattr(trainer, "decoder_certified", lambda z: False)
+    _, parts, _ = build_loss(state, dataset, config, artifacts)
+    _, sample, z_views = trainer._forward(
+        state, dataset, config,
+        noise_rng=rng_stream(config.seed, state.epoch, "noise"),
+        dropout_rng=rng_stream(config.seed, state.epoch, "dropout"),
+    )
+    likelihood = 0.0
+    for g, z in zip(dataset.graphs, z_views):
+        likelihood = likelihood - adjacency_nll(g, decode_adjacency(z))
+    want = elbo_loss(likelihood, sample, artifacts.kl_bound)
+    assert parts["elbo"].value.tobytes() == want.value.tobytes()
+
+
+def test_a_certified_view_is_scored_from_its_edge_count(monkeypatch):
+    dataset, config = toy_dataset(), toy_config()
+    state = init_state(dataset, config)
+    artifacts = prepare_epoch(state, dataset, config)
+    monkeypatch.setattr(trainer, "decoder_certified", lambda z: True)
+
+    def no_decode(z):
+        raise AssertionError("a certified view was decoded")
+
+    monkeypatch.setattr(trainer, "decode_adjacency", no_decode)
+    _, parts, _ = build_loss(state, dataset, config, artifacts)
+    _, sample, _ = trainer._forward(
+        state, dataset, config,
+        noise_rng=rng_stream(config.seed, state.epoch, "noise"),
+        dropout_rng=rng_stream(config.seed, state.epoch, "dropout"),
+    )
+    likelihood = 0.0
+    for g in dataset.graphs:
+        likelihood = likelihood - decided_nll(g)
+    want = elbo_loss(likelihood, sample, artifacts.kl_bound)
+    assert parts["elbo"].value.tobytes() == want.value.tobytes()
+
+
+def test_the_epoch_kl_bound_comes_from_the_edge_pattern_counts():
+    dataset, config = toy_dataset(noisy_view=1), toy_config(epochs=2)
+    state = init_state(dataset, config)
+    assert np.array_equal(state.edge_patterns, edge_pattern_counts(dataset.graphs))
+    for _ in range(2):
+        want = kl_upper_bound(compute_prior_beta(dataset.graphs, state.beliefs))
+        got = prepare_epoch(state, dataset, config).kl_bound
+        assert abs(got - want) <= 1e-12 * abs(want)
+        train_epoch(state, dataset, config)
+    assert state.beliefs != (1.0, 1.0)
 
 
 def test_rho_zero_freezes_unit_beliefs_and_plain_fusion():

@@ -18,14 +18,19 @@ from mvgc.nncore import (
 )
 from mvgc.vargen import (
     _DECIDED_LOGIT,
+    _PRIOR_FLOOR,
     PosteriorNet,
     adjacency_nll,
     compute_prior_beta,
+    decided_nll,
     decode_adjacency,
+    decoder_certified,
+    edge_pattern_counts,
     elbo_loss,
     infer_posterior,
     kl_upper_bound,
     normalize_consensus,
+    pattern_kl_bound,
     sample_consensus,
     view_prior_cross_entropy,
 )
@@ -511,3 +516,146 @@ def test_a_nan_logit_is_not_decided():
     logits = np.full((3, 3), 50.0)
     logits[1, 2] = np.nan
     assert np.isnan(adjacency_nll(_edges(np.random.default_rng(18), 3), logits).value)
+
+
+def _near_threshold(rng, n, d, scale, noise, swing):
+    """Rows of norm about sqrt(_DECIDED_LOGIT) * ``scale`` around one random
+    direction u, each row off it by relative ``noise``; with ``swing``, the
+    last row turned that many radians from u towards another direction."""
+    u = rng.normal(size=d)
+    u /= np.linalg.norm(u)
+    z = u + rng.normal(scale=noise, size=(n, d))
+    if swing is not None:
+        w = rng.normal(size=d)
+        w -= (w @ u) * u
+        w /= np.linalg.norm(w)
+        z[-1] = np.cos(swing) * u + np.sin(swing) * w
+    return z * (np.sqrt(_DECIDED_LOGIT) * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 6),
+    st.floats(0.99, 1.2), st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.05, 0.3]),
+    st.one_of(st.none(), st.floats(0.0, 2.0)),
+)
+@example(0, 5, 3, 1.1, 0.0, None)
+@example(0, 5, 3, 1.1, 1e-3, 0.3)
+@example(0, 5, 3, 1.0, 0.0, None)
+def test_a_certified_decoder_has_every_logit_decided_and_positive(
+    seed, n, d, scale, noise, swing
+):
+    z = _near_threshold(np.random.default_rng(seed), n, d, scale, noise, swing)
+    if decoder_certified(z):
+        assert (z @ z.T).min() > _DECIDED_LOGIT
+
+
+def test_the_certificate_holds_for_a_saturated_decoder_and_not_at_the_bound():
+    rng = np.random.default_rng(5)
+    assert decoder_certified(_near_threshold(rng, 6, 4, 1.1, 1e-3, 0.2))
+    assert decoder_certified(Tensor(_near_threshold(rng, 6, 4, 1.1, 0.0, None)))
+    # every logit within rounding of the bound, or a row swung off to 90
+    # degrees: the rounding slack or the row bound refuses it
+    assert not decoder_certified(_near_threshold(rng, 6, 4, 1.0, 0.0, None))
+    assert not decoder_certified(_near_threshold(rng, 6, 4, 3.0, 0.0, np.pi / 2))
+
+
+def _overflowing():
+    z = np.full((4, 3), 1e200)
+    z[:, 1] = 1.0
+    return z
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z", [
+    np.where(np.eye(4, 3) > 0, np.nan, 10.0),
+    np.where(np.eye(4, 3) > 0, np.inf, 10.0),
+    np.where(np.eye(4, 3) > 0, -np.inf, 10.0),
+    np.full((4, 3), np.inf),
+    np.zeros((4, 3)),
+    # a zero column sum from non-zero rows
+    np.array([[10.0, 1.0], [-10.0, -1.0]]),
+    # one row on the far side of u
+    np.array([[10.0, 0.0], [10.0, 0.0], [-1.0, 0.0]]),
+    _overflowing(),
+    np.full((4, 3), 1e160),
+], ids=["nan", "inf", "-inf", "all-inf", "zero", "zero-sum", "negative-a",
+        "overflow", "overflowing-square"])
+def test_the_certificate_refuses_without_a_warning(z):
+    assert decoder_certified(z) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 5),
+       st.floats(0.0, 1.0))
+@example(0, 1, 1, 1.0)
+@example(0, 7, 3, 0.0)
+def test_the_count_form_likelihood_matches_the_n_by_n_sum(seed, n, d, density):
+    rng = np.random.default_rng(seed)
+    z = _decoder_input(rng, n, d, "positive")
+    # self-loops included: the diagonal is drawn like any other pair
+    graph = Graph((rng.random((n, n)) < density).astype(np.float64))
+    assert decoder_certified(z)
+    logits = decode_adjacency(z)
+    assert logits.value.min() > _DECIDED_LOGIT
+    want = adjacency_nll(graph, logits).value
+    got = decided_nll(graph)
+    assert got._grad_fn is None
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+def test_edge_pattern_counts_count_each_pair_once():
+    n = 3
+    views = [
+        Graph.from_edges(n, [0, 0, 2], [0, 1, 2]),
+        Graph.from_edges(n, [0, 1, 2], [1, 0, 2]),
+        Graph(np.zeros((n, n))),
+    ]
+    # (0,0) view 1; (0,1) views 1, 2; (1,0) view 2; (2,2) views 1, 2
+    want = np.zeros(8, dtype=np.int64)
+    want[[1, 3, 2]] = [1, 2, 1]
+    want[0] = n * n - 4
+    assert np.array_equal(edge_pattern_counts(views), want)
+    with pytest.raises(ValueError, match="at least one graph"):
+        edge_pattern_counts([])
+    with pytest.raises(ValueError, match="node count"):
+        edge_pattern_counts([views[0], Graph(np.zeros((2, 2)))])
+    with pytest.raises(ValueError, match="8 pattern counts but 2 beliefs"):
+        pattern_kl_bound(want, (1.0, 1.0))
+    with pytest.raises(ValueError, match="beliefs"):
+        pattern_kl_bound(want, (1.0, np.nan, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 4),
+    st.floats(0.0, 1.0), st.data(),
+)
+@example(0, 6, 2, 0.5, None)
+@example(3, 5, 4, 0.3, None)
+def test_the_pattern_kl_bound_matches_the_n_by_n_bound(seed, n, views, density, data):
+    rng = np.random.default_rng(seed)
+    adjs = [(rng.random((n, n)) < density).astype(np.float64) for _ in range(views)]
+    if data is None:
+        # beliefs far apart clip the prior of the pairs only view 1 holds at
+        # the floor; the last view is empty, and view 2 repeats view 1's
+        # first row
+        beliefs = [1e-9, *[1.0] * (views - 1)]
+        adjs[-1] = np.zeros((n, n))
+        if views > 2:
+            adjs[1][0] = adjs[0][0]
+    else:
+        beliefs = data.draw(st.lists(
+            st.one_of(st.floats(1e-9, 1e-5), st.floats(1e-5, 1.0)),
+            min_size=views, max_size=views,
+        ))
+        overlap = data.draw(st.integers(0, views - 1))
+        adjs[overlap] = np.maximum(adjs[overlap], adjs[0])
+    graphs = [Graph(a) for a in adjs]
+    prior = compute_prior_beta(graphs, beliefs)
+    counts = edge_pattern_counts(graphs)
+    if data is None and views > 1:
+        assert (prior.min() == _PRIOR_FLOOR) == (counts[1] > 0)
+    assert counts.sum() == n * n
+    want = kl_upper_bound(prior)
+    assert abs(pattern_kl_bound(counts, beliefs) - want) <= 1e-12 * abs(want)
