@@ -133,9 +133,10 @@ def _stray(labels, fit, counts):
 
 
 def _lloyd(z, centroids, max_iter, tol, z_sq):
-    """Lloyd steps for every restart together; a restart leaves the batch
-    when its own inertia stops falling.  Returns labels (restarts x n), the
-    centroids and each restart's inertia."""
+    """Lloyd steps for every restart together.  A restart leaves the batch
+    when its stop test holds, which is after its first update: the previous
+    inertia starts at inf, and inf - x <= tol * inf.  Returns labels
+    (restarts x n), the centroids and each restart's inertia."""
     runs, c, _ = centroids.shape
     n = z.shape[0]
     prev_inertia = np.full(runs, np.inf)
@@ -172,9 +173,9 @@ def _lloyd(z, centroids, max_iter, tol, z_sq):
 def kmeans(z, c, seed=0, restarts=10, max_iter=300, tol=1e-6):
     """Best-inertia k-means over seeded ++ restarts; deterministic given seed.
 
-    Every restart draws from its own rng stream and stops on its own test,
-    and the first restart with the lowest inertia wins, as if the restarts
-    ran one after another; they run together (see the module docstring).
+    Each restart draws from its own rng stream and stops after one Lloyd
+    update (see ``_lloyd``); the first with the lowest inertia wins, as if
+    they ran in turn, though they run together (see the module docstring).
     """
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]

@@ -42,11 +42,11 @@ a parent is tracked.  The concrete sample alone asks ``_tracked`` first, to
 skip forming a mask that serves the backward alone.
 
 The clamped BCE has one home, ``binary_cross_entropy``; its per-entry terms
-``_bce_terms`` also give the adjacency likelihood in ``mvgc.vargen`` the
-constant terms of an edge and a non-edge at an infinite positive logit.
-That likelihood is the sigmoid -> BCE chain unless every logit exceeds
-logit(1 - clamp) + 1; then its gradient is zero by construction, and it
-records no node and sums those two constants.
+``_bce_terms`` also give ``mvgc.vargen`` the constant terms of an edge and a
+non-edge at an infinite positive logit.  A view whose decoder logits are
+certified positive and beyond logit(1 - clamp) + 1 is scored from those two
+constants and its edge count, with no logits and no node; any other view's
+likelihood is the plain sigmoid -> BCE chain.
 
 ``backward`` consumes the tape node by node: once a node has passed its
 gradient on, its closure and parent links are dropped, so each intermediate

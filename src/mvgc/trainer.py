@@ -102,7 +102,8 @@ class TrainState:
     """Everything that persists across epochs: parameter groups, beliefs,
     the optimizer, and two constants of the fit: ``specific``, each view's
     features message-passed along its own normalized graph (an n x d_v
-    array), and ``edge_patterns``, the graphs' ``edge_pattern_counts``.
+    array), and ``edge_patterns``, the graphs' ``edge_pattern_counts``: the
+    edge patterns that occur and how many node pairs hold each.
 
     The optimizer holds every parameter's value and gradient in its flat
     store, in ``parameters()`` order."""
@@ -111,7 +112,7 @@ class TrainState:
     encoders: list
     global_decoder: MLP
     specific: list
-    edge_patterns: np.ndarray
+    edge_patterns: tuple
     beliefs: tuple
     optimizer: OptimizerState
     epoch: int = 0

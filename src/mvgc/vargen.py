@@ -15,14 +15,13 @@ without an n x n array:
   every logit of Z Z^T is positive and beyond the BCE clamp.  The view's
   likelihood is then ``decided_nll``: the edge and non-edge terms times
   their counts, with no logits and no tape node.  Otherwise the logits are
-  decoded and ``adjacency_nll`` scores them: the plain sigmoid -> BCE chain,
-  or the same two terms summed over an n x n array when every logit is
-  decided and positive.
+  decoded and ``adjacency_nll`` scores them by the plain sigmoid -> BCE
+  chain.
 - The prior ``compute_prior_beta`` takes one value per edge pattern (which
   views hold the pair), so the KL bound is ``pattern_kl_bound``: a sum over
-  the 2^V patterns of the fit-constant ``edge_pattern_counts`` times
-  -log(prior).  ``compute_prior_beta`` and ``kl_upper_bound`` form the same
-  bound from the n x n prior; they are its reference.
+  the patterns that occur of their fit-constant ``edge_pattern_counts``
+  times -log(prior).  ``compute_prior_beta`` and ``kl_upper_bound`` form
+  the same bound from the n x n prior; they are its reference.
 """
 
 import math
@@ -225,10 +224,12 @@ def kl_upper_bound(beta):
 
 
 def edge_pattern_counts(graphs):
-    """How many node pairs hold each edge pattern: entry p counts the pairs
-    that are edges of exactly the views v with bit v of p set.  The counts
-    depend on the graphs alone, so a fit forms them once.  Pattern 0, the
-    pairs no view holds, is the remainder of n^2."""
+    """The edge patterns that occur and their pair counts, ``(held, counts)``:
+    row p of the boolean ``held`` marks the views that hold the ``counts[p]``
+    node pairs of pattern p.  Row 0, no view, is the remainder of n^2; the
+    rest follow in binary order, view 0 the lowest bit.  There is at most
+    one row per distinct edge, whatever the number of views.  The counts
+    depend on the graphs alone, so a fit forms them once."""
     if not graphs:
         raise ValueError("need at least one graph")
     n = graphs[0].n
@@ -237,31 +238,39 @@ def edge_pattern_counts(graphs):
     keys = np.concatenate(
         [np.ravel_multi_index(g.edges(), (n, n)) for g in graphs]
     )
-    bits = np.repeat(1 << np.arange(len(graphs)), [g.adj.nnz for g in graphs])
+    view_of = np.repeat(np.arange(len(graphs)), [g.adj.nnz for g in graphs])
     pairs, pair_of = np.unique(keys, return_inverse=True)
-    # each view holds a pair at most once, so a pair's bits sum to its pattern
-    patterns = np.bincount(pair_of, weights=bits, minlength=pairs.size)
-    counts = np.bincount(patterns.astype(np.int64), minlength=1 << len(graphs))
+    membership = np.zeros((pairs.size, len(graphs)), dtype=bool)
+    membership[pair_of, view_of] = True
+    # rank each pair's pattern among those that occur, taking the views from
+    # the last, so that the ranks keep the patterns' binary order
+    rank = np.zeros(pairs.size, dtype=np.int64)
+    for column in membership.T[::-1]:
+        code = 2 * rank + column
+        rank = (np.cumsum(np.bincount(code) > 0) - 1)[code]
+    held = np.zeros((rank.max(initial=-1) + 2, len(graphs)), dtype=bool)
+    held[rank + 1] = membership
+    counts = np.bincount(rank + 1, minlength=held.shape[0])
     counts[0] = n * n - pairs.size
-    return counts
+    return held, counts
 
 
-def pattern_kl_bound(counts, beliefs):
+def pattern_kl_bound(patterns, beliefs):
     """``kl_upper_bound(compute_prior_beta(graphs, beliefs))`` from the
-    graphs' ``edge_pattern_counts``, with no n x n array.
+    graphs' ``edge_pattern_counts`` ``patterns``, with no n x n array.
 
     Each pattern's prior is formed by the ops ``compute_prior_beta`` applies
     to every pair of that pattern, view by view in the same order, so it is
     the same value bit for bit.  The bound is the sum of count x -log(prior)
-    over the 2^V patterns; it differs from the n x n sum only in rounding.
+    over the patterns that occur; it differs from the n x n sum only in
+    rounding.
     """
+    held, counts = patterns
     b = _belief_array(beliefs)
-    counts = np.asarray(counts)
-    if counts.shape != (1 << b.size,):
+    if held.shape[1] != b.size:
         raise ValueError(
-            f"{counts.size} pattern counts but {b.size} beliefs"
+            f"patterns over {held.shape[1]} views but {b.size} beliefs"
         )
-    held = (np.arange(counts.size)[:, None] >> np.arange(b.size)) & 1
     votes = np.where(held[:, 0], b[0], 1.0 - b[0])
     for v in range(1, b.size):
         votes += np.where(held[:, v], b[v], 1.0 - b[v])
@@ -280,6 +289,18 @@ def decode_adjacency(z):
     return z @ z.T
 
 
+def adjacency_nll(graph, logits):
+    """Summed BCE of a Graph's 0/1 adjacency under the decoder
+    sigmoid(logits): ``binary_cross_entropy`` of the dense adjacency and
+    ``logits.sigmoid()``, its probabilities clamped into [BCE_CLAMP,
+    1 - BCE_CLAMP] and its gradient blocked where the clamp engaged.  The
+    chain keeps the logits, their sigmoid and the dense adjacency on the
+    tape.  A fit calls this only when ``decoder_certified`` fails;
+    otherwise ``decided_nll`` gives the decided value without the logits.
+    """
+    return binary_cross_entropy(graph.adj.toarray(), logits.sigmoid())
+
+
 # beyond this |logit| the sigmoid lies within clamp / e of 0 or 1, outside
 # [clamp, 1 - clamp] by a margin that dwarfs expit's rounding, so the clip
 # decides the entry
@@ -288,35 +309,6 @@ _DECIDED_LOGIT = float(special.logit(1.0 - BCE_CLAMP)) + 1.0
 _EDGE_TERM, _NON_EDGE_TERM = _bce_terms(
     np.array([1.0, 0.0]), special.expit(np.array([np.inf, np.inf]))
 )
-
-
-def adjacency_nll(graph, logits):
-    """Summed BCE of a Graph's 0/1 adjacency under the decoder
-    sigmoid(logits): ``binary_cross_entropy`` of the dense adjacency and
-    ``logits.sigmoid()``, its probabilities clamped into [BCE_CLAMP,
-    1 - BCE_CLAMP] and its gradient blocked where the clamp engaged.  That
-    chain keeps the logits, their sigmoid and the dense adjacency on the
-    tape.
-
-    When every logit exceeds ``_DECIDED_LOGIT`` (about 17.1; an infinite
-    logit does, a NaN does not), the clamp alone sets every entry's term
-    and its gradient is zero: the sum comes from ``_NON_EDGE_TERM``, with
-    ``_EDGE_TERM`` written on the graph's edges, summed in the chain's
-    n x n layout, untracked.  That is one reduction to test, no tape node,
-    no backward, and no sigmoid or log over the n x n logits, and the value
-    is the chain's bit for bit.  Every other input, negative decided logits
-    included, takes the chain.  A fit calls this only when
-    ``decoder_certified`` fails; otherwise ``decided_nll`` gives the decided
-    value without the logits.
-    """
-    logits = _wrap(logits)
-    lv = logits.value
-    if not lv.min() > _DECIDED_LOGIT:
-        return binary_cross_entropy(graph.adj.toarray(), logits.sigmoid())
-    terms = np.full(lv.shape, _NON_EDGE_TERM)
-    terms[graph.edges()] = _EDGE_TERM
-    return Tensor(terms.sum())
-
 
 # the certificate's margin for rounding, relative to the largest |z_i|^2
 _CERTIFICATE_SLACK = 1e-9
@@ -369,12 +361,15 @@ def elbo_loss(likelihood, s, kl_bound):
     graphs, plus sample entropy, minus the KL bound.  Training maximizes
     this, so it enters the total objective with a negative weight.
 
-    ``likelihood`` is the sum over views of -``adjacency_nll`` of each
-    graph under its decoder logits, which the caller scores one view at a
-    time so that one n x n logits array exists at a time.  ``s`` is the
-    relaxed consensus sample.  ``kl_bound`` is the float
-    ``kl_upper_bound(beta)``: it depends only on the graphs and beliefs, not
-    on any parameter, so the caller computes it once per belief update."""
+    ``likelihood`` is the sum over views of minus each view's likelihood:
+    ``decided_nll`` for a view whose decoder is certified, which forms no
+    logits, and otherwise ``adjacency_nll`` of its decoder logits.  The
+    caller scores one view at a time, so at most one n x n logits array
+    exists at a time.  ``s`` is the relaxed consensus sample.  ``kl_bound``
+    is the float ``pattern_kl_bound`` of the graphs' edge patterns, equal
+    but for rounding to ``kl_upper_bound(compute_prior_beta(...))``: it
+    depends only on the graphs and beliefs, not on any parameter, so the
+    caller computes it once per belief update."""
     return likelihood + bernoulli_entropy(s) - kl_bound
 
 

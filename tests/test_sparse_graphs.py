@@ -18,13 +18,7 @@ from mvgc.dataio import MultiViewDataset, _load_edges, save_dataset
 from mvgc.graph import Graph, hamming_distance, knn_graph
 from mvgc.nncore import Parameter, backward, tensor
 from mvgc.nncore.tensor import BCE_CLAMP, _bce_terms
-from mvgc.vargen import (
-    _DECIDED_LOGIT,
-    _EDGE_TERM,
-    _NON_EDGE_TERM,
-    adjacency_nll,
-    compute_prior_beta,
-)
+from mvgc.vargen import _DECIDED_LOGIT, adjacency_nll, compute_prior_beta
 
 
 def _dense_load_edges(lines, n, directed):
@@ -69,12 +63,9 @@ def _dense_prior(adjs, beliefs, eps=1e-6):
 
 
 def _dense_nll(adj, logits):
-    """Value and gradient of the dense likelihood node: the clamp-decided
-    sum when every logit exceeds the bound, otherwise the full chain."""
+    """Value and gradient of the dense likelihood chain, sigmoid -> clamp ->
+    BCE, under a gradient of -1.5."""
     lv = logits.value
-    if (lv > _DECIDED_LOGIT).all():
-        terms = np.where(adj > 0.0, _EDGE_TERM, _NON_EDGE_TERM)
-        return terms.sum(), np.zeros_like(lv)
     lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
     a_hat = special.expit(lv)
     q = np.clip(a_hat, lo, hi)
@@ -213,8 +204,7 @@ def test_likelihood_matches_the_dense_node_bit_for_bit(
     adj = _random_adjacency(rng, n, density, symmetric=False)
     logits = Parameter(logits0.copy())
     value = adjacency_nll(Graph(adj), logits)
-    if value._grad_fn is not None:
-        backward(value * -1.5)
+    backward(value * -1.5)
     expected_value, expected_grad = _dense_nll(adj, logits)
     assert _same_bits(value.value, expected_value)
     assert _same_bits(logits.grad, expected_grad)

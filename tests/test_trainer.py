@@ -170,10 +170,11 @@ def _tape_arrays(root):
     return list(buffers.values())
 
 
-def _square_tape_arrays(dataset, config, decoder_scale=1.0):
-    """The float n x n arrays on the tape after ``build_loss``, with each
-    encoder's output layer scaled by ``decoder_scale`` first (the decoder
-    logits Z Z^T grow by its square).
+def _square_tape_arrays(dataset, config, decoder_shift=0.0):
+    """The float n x n arrays on the tape after ``build_loss``, with
+    ``decoder_shift`` added first to the output bias of each encoder's
+    first embedding column, so that every embedding moves along one common
+    direction.
 
     n = 24 differs from every other width (hidden 8, embed 4, features 6
     and 12), so an n x n array is one of the dense consensus or decoder
@@ -181,8 +182,7 @@ def _square_tape_arrays(dataset, config, decoder_scale=1.0):
     per view."""
     state = init_state(dataset, config)
     for enc in state.encoders:
-        for p in enc.f.params[-2:]:
-            p.value *= decoder_scale
+        enc.f.params[-1].value[0, 0] += decoder_shift
     total, _, _ = build_loss(
         state, dataset, config, prepare_epoch(state, dataset, config)
     )
@@ -201,12 +201,21 @@ def test_the_tape_holds_two_plus_three_v_square_float_arrays():
     assert len(square) == 2 + 3 * dataset.num_views
 
 
-def test_a_saturated_decoder_leaves_no_square_array_on_the_tape():
-    # scaled by 6, every |logit| exceeds 40: the clamp decides each entry,
-    # so the likelihood is a constant and the decoder's logits are freed;
-    # the posterior logits K Q^T are the sample's own buffer
+def test_a_saturated_decoder_leaves_no_square_array_on_the_tape(monkeypatch):
+    # shifted by +40 along the first column, both views' embeddings are
+    # certified, so no decoder logits are formed; the posterior logits
+    # K Q^T are the sample's own buffer
+    real_certify = trainer.decoder_certified
+    verdicts = []
+
+    def certify(z):
+        verdicts.append(real_certify(z))
+        return verdicts[-1]
+
+    monkeypatch.setattr(trainer, "decoder_certified", certify)
     dataset = toy_dataset()
-    square = _square_tape_arrays(dataset, toy_config(dropout=0.3), decoder_scale=6.0)
+    square = _square_tape_arrays(dataset, toy_config(dropout=0.3), decoder_shift=40.0)
+    assert verdicts == [True] * dataset.num_views
     assert len(square) == 2
 
 
@@ -333,7 +342,8 @@ def test_a_certified_view_is_scored_from_its_edge_count(monkeypatch):
 def test_the_epoch_kl_bound_comes_from_the_edge_pattern_counts():
     dataset, config = toy_dataset(noisy_view=1), toy_config(epochs=2)
     state = init_state(dataset, config)
-    assert np.array_equal(state.edge_patterns, edge_pattern_counts(dataset.graphs))
+    for got, want in zip(state.edge_patterns, edge_pattern_counts(dataset.graphs)):
+        assert np.array_equal(got, want)
     for _ in range(2):
         want = kl_upper_bound(compute_prior_beta(dataset.graphs, state.beliefs))
         got = prepare_epoch(state, dataset, config).kl_bound

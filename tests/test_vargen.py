@@ -1,5 +1,7 @@
 """Edge prior, posterior sampling, and the bound-driven losses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -272,16 +274,6 @@ def _primitive_sample(k, q, tau, rng=None):
     return (alpha / tau).sigmoid().clip(1e-12, 1.0 - 1e-12)
 
 
-def _primitive_decode(z):
-    """The primitive chain ``decode_adjacency`` runs, written out."""
-    return z @ z.T
-
-
-def _primitive_nll(graph, logits):
-    """``adjacency_nll`` as the sigmoid -> clip -> BCE chain it replaces."""
-    return binary_cross_entropy(graph.adj.toarray(), logits.sigmoid())
-
-
 # logits whose sigmoid lands just inside and just outside each clip bound
 _NEAR_BOUNDS = np.array([
     -27.631021115927545, -27.63102111592755, 27.631043237893362, 27.63104323789236,
@@ -424,98 +416,19 @@ def _edges(rng, n):
     return Graph((rng.random((n, n)) < 0.4).astype(np.float64))
 
 
-def _decoder_input(rng, n, d, decided):
-    """Z whose logits Z Z^T lie all within the decided bound ("none"), all
-    beyond it ("all": a +-40 first column dominates every product;
-    "positive": a +40 first column, so every logit is positive), or on
-    both sides ("some")."""
-    if decided == "none":
-        return rng.uniform(-0.5, 0.5, size=(n, d)) * np.sqrt(17.0 / d)
-    if decided == "some":
-        return rng.normal(scale=3.0, size=(n, d))
+def _saturated_input(rng, n, d):
+    """Z with a +40 first column, which dominates every product, so every
+    logit of Z Z^T is positive and beyond the decided bound."""
     z = rng.uniform(-1.0, 1.0, size=(n, d))
-    z[:, 0] = 40.0 if decided == "positive" else rng.choice([-40.0, 40.0], size=n)
+    z[:, 0] = 40.0
     return z
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 5),
-    st.sampled_from(["none", "some", "all", "positive"]), st.booleans(),
-)
-@example(0, 6, 3, "all", False)
-@example(0, 6, 3, "positive", False)
-@example(0, 6, 3, "none", True)
-def test_likelihood_node_matches_the_primitive_chain_bit_for_bit(
-    seed, n, d, decided, other_first
-):
-    rng = np.random.default_rng(seed)
-    z0 = _decoder_input(rng, n, d, decided)
-    graph = _edges(rng, n)
-    logits = z0 @ z0.T
-    above = np.abs(logits) > _DECIDED_LOGIT
-    assert {
-        "none": not above.any(), "all": above.all(), "positive": above.all()
-    }.get(decided, True)
-
-    def run(decode, nll):
-        z = Parameter(z0.copy())
-        value = nll(graph, decode(z))
-        # z has a second consumer, so the order of its gradient
-        # contributions shows in the bits
-        terms = [value * 0.5, (z * z).sum()]
-        backward(terms[1] + terms[0] if other_first else terms[0] + terms[1])
-        return value, z.grad
-
-    fused = run(decode_adjacency, adjacency_nll)
-    primitive = run(_primitive_decode, _primitive_nll)
-    assert _same_bits(fused[0].value, primitive[0].value)
-    assert np.array_equal(fused[1], primitive[1])
-    # the node skips the tape exactly when every logit exceeds the bound
-    assert (fused[0]._grad_fn is None) == bool((logits > _DECIDED_LOGIT).all())
-
-
-# logits on and next to the decided bound, beyond it, at infinity, and well
-# inside it
-_BOUND_LOGITS = np.array([
-    _DECIDED_LOGIT, np.nextafter(_DECIDED_LOGIT, np.inf),
-    np.nextafter(_DECIDED_LOGIT, 0.0), 40.0, np.inf, 16.0, 0.0,
-])
-_BOUND_LOGITS = np.concatenate([_BOUND_LOGITS, -_BOUND_LOGITS])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans(), st.booleans())
-@example(0, 4, True, False)
-@example(0, 4, True, True)
-def test_likelihood_node_on_the_decided_bound_and_at_infinity(
-    seed, n, beyond, positive
-):
-    # positive: only the pool's positive logits, so with beyond every
-    # logit exceeds the bound and the node skips the tape
-    rng = np.random.default_rng(seed)
-    pool = _BOUND_LOGITS[np.abs(_BOUND_LOGITS) > _DECIDED_LOGIT] if beyond else _BOUND_LOGITS
-    if positive:
-        pool = pool[pool > 0.0]
-    logits0 = rng.choice(pool, size=(n, n))
-    graph = _edges(rng, n)
-
-    def run(nll):
-        logits = Parameter(logits0.copy())
-        value = nll(graph, logits)
-        backward(value * -1.5)
-        return value.value, logits.grad
-
-    fused, primitive = run(adjacency_nll), run(_primitive_nll)
-    assert np.isfinite(fused[0])
-    assert _same_bits(fused[0], primitive[0])
-    assert np.array_equal(fused[1], primitive[1])
-
-
-def test_a_nan_logit_is_not_decided():
+def test_a_nan_logit_gives_a_nan_likelihood():
     logits = np.full((3, 3), 50.0)
     logits[1, 2] = np.nan
-    assert np.isnan(adjacency_nll(_edges(np.random.default_rng(18), 3), logits).value)
+    graph = _edges(np.random.default_rng(18), 3)
+    assert np.isnan(adjacency_nll(graph, Tensor(logits)).value)
 
 
 def _near_threshold(rng, n, d, scale, noise, swing):
@@ -592,7 +505,7 @@ def test_the_certificate_refuses_without_a_warning(z):
 @example(0, 7, 3, 0.0)
 def test_the_count_form_likelihood_matches_the_n_by_n_sum(seed, n, d, density):
     rng = np.random.default_rng(seed)
-    z = _decoder_input(rng, n, d, "positive")
+    z = _saturated_input(rng, n, d)
     # self-loops included: the diagonal is drawn like any other pair
     graph = Graph((rng.random((n, n)) < density).astype(np.float64))
     assert decoder_certified(z)
@@ -611,19 +524,45 @@ def test_edge_pattern_counts_count_each_pair_once():
         Graph.from_edges(n, [0, 1, 2], [1, 0, 2]),
         Graph(np.zeros((n, n))),
     ]
-    # (0,0) view 1; (0,1) views 1, 2; (1,0) view 2; (2,2) views 1, 2
-    want = np.zeros(8, dtype=np.int64)
-    want[[1, 3, 2]] = [1, 2, 1]
-    want[0] = n * n - 4
-    assert np.array_equal(edge_pattern_counts(views), want)
+    # (0,0) view 1; (0,1) views 1, 2; (1,0) view 2; (2,2) views 1, 2: the
+    # pattern no view holds first, then the others in binary order, view 1
+    # the lowest bit; the empty view 3 holds none of them
+    held, counts = edge_pattern_counts(views)
+    assert held.dtype == bool
+    assert np.array_equal(
+        held, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
+    )
+    assert np.array_equal(counts, [n * n - 4, 1, 1, 2])
     with pytest.raises(ValueError, match="at least one graph"):
         edge_pattern_counts([])
     with pytest.raises(ValueError, match="node count"):
         edge_pattern_counts([views[0], Graph(np.zeros((2, 2)))])
-    with pytest.raises(ValueError, match="8 pattern counts but 2 beliefs"):
-        pattern_kl_bound(want, (1.0, 1.0))
+    with pytest.raises(ValueError, match="patterns over 3 views but 2 beliefs"):
+        pattern_kl_bound((held, counts), (1.0, 1.0))
     with pytest.raises(ValueError, match="beliefs"):
-        pattern_kl_bound(want, (1.0, np.nan, 1.0))
+        pattern_kl_bound((held, counts), (1.0, np.nan, 1.0))
+
+
+def test_the_pattern_table_stays_small_for_many_views():
+    # a table of every pattern of 20 views would hold 2^20 counts; ten
+    # nodes have 100 pairs, so at most 101 patterns occur
+    rng = np.random.default_rng(7)
+    graphs = [
+        Graph((rng.random((10, 10)) < 0.3).astype(np.float64))
+        for _ in range(20)
+    ]
+    beliefs = rng.uniform(0.05, 1.0, size=20)
+    tracemalloc.start()
+    try:
+        patterns = edge_pattern_counts(graphs)
+        got = pattern_kl_bound(patterns, beliefs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert patterns[0].shape[0] <= 101
+    want = kl_upper_bound(compute_prior_beta(graphs, beliefs))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -653,9 +592,14 @@ def test_the_pattern_kl_bound_matches_the_n_by_n_bound(seed, n, views, density, 
         adjs[overlap] = np.maximum(adjs[overlap], adjs[0])
     graphs = [Graph(a) for a in adjs]
     prior = compute_prior_beta(graphs, beliefs)
-    counts = edge_pattern_counts(graphs)
+    patterns = edge_pattern_counts(graphs)
+    held, counts = patterns
+    # every pattern listed after the first occurs, and none twice
+    assert (counts[1:] > 0).all()
+    assert np.unique(held, axis=0).shape == held.shape
     if data is None and views > 1:
-        assert (prior.min() == _PRIOR_FLOOR) == (counts[1] > 0)
+        only_view_1 = (held == np.eye(1, views, dtype=bool)).all(axis=1)
+        assert (prior.min() == _PRIOR_FLOOR) == only_view_1.any()
     assert counts.sum() == n * n
     want = kl_upper_bound(prior)
-    assert abs(pattern_kl_bound(counts, beliefs) - want) <= 1e-12 * abs(want)
+    assert abs(pattern_kl_bound(patterns, beliefs) - want) <= 1e-12 * abs(want)
