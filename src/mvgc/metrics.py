@@ -1,19 +1,7 @@
 """Clustering evaluation: NMI, ARI, accuracy and F1 under optimal matching."""
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-
-
-@dataclass(frozen=True)
-class Contingency:
-    """Joint count table of two labelings plus its marginals."""
-
-    table: np.ndarray
-    row_marginals: np.ndarray
-    col_marginals: np.ndarray
-    n: int
 
 
 def _as_labels(a, name):
@@ -24,6 +12,8 @@ def _as_labels(a, name):
 
 
 def contingency(a, b):
+    """Joint count table of two labelings: entry (i, j) counts the points
+    carrying the i-th distinct value of ``a`` and the j-th of ``b``."""
     a = _as_labels(a, "a")
     b = _as_labels(b, "b")
     if a.shape[0] != b.shape[0]:
@@ -32,12 +22,7 @@ def contingency(a, b):
     _, bi = np.unique(b, return_inverse=True)
     table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
     np.add.at(table, (ai, bi), 1)
-    return Contingency(
-        table=table,
-        row_marginals=table.sum(axis=1),
-        col_marginals=table.sum(axis=0),
-        n=a.shape[0],
-    )
+    return table
 
 
 def _entropy(counts, n):
@@ -51,16 +36,18 @@ def nmi(a, b):
     Two single-cluster labelings are identical partitions, hence 1; if exactly
     one side is a single cluster the partitions differ and the score is 0.
     """
-    ct = contingency(a, b)
-    h_a = _entropy(ct.row_marginals, ct.n)
-    h_b = _entropy(ct.col_marginals, ct.n)
+    table = contingency(a, b)
+    n = int(table.sum())
+    rows, cols = table.sum(axis=1), table.sum(axis=0)
+    h_a = _entropy(rows, n)
+    h_b = _entropy(cols, n)
     if h_a == 0.0 and h_b == 0.0:
         return 1.0
     if h_a == 0.0 or h_b == 0.0:
         return 0.0
-    nz = ct.table > 0
-    joint = ct.table[nz] / ct.n
-    outer = np.outer(ct.row_marginals, ct.col_marginals)[nz] / (ct.n * ct.n)
+    nz = table > 0
+    joint = table[nz] / n
+    outer = np.outer(rows, cols)[nz] / (n * n)
     mi = float((joint * np.log(joint / outer)).sum())
     return float(np.clip(mi / np.sqrt(h_a * h_b), 0.0, 1.0))
 
@@ -74,11 +61,12 @@ def ari(a, b):
     """Pair-counting Rand index, adjusted for chance.  Degenerate cases where
     the adjustment denominator vanishes occur only for identical partitions
     (both trivial), so they score 1."""
-    ct = contingency(a, b)
-    index = _pairs(ct.table.reshape(-1))
-    sum_a = _pairs(ct.row_marginals)
-    sum_b = _pairs(ct.col_marginals)
-    total = ct.n * (ct.n - 1) / 2.0
+    table = contingency(a, b)
+    n = int(table.sum())
+    index = _pairs(table.reshape(-1))
+    sum_a = _pairs(table.sum(axis=1))
+    sum_b = _pairs(table.sum(axis=0))
+    total = n * (n - 1) / 2.0
     expected = sum_a * sum_b / total if total > 0 else 0.0
     max_index = 0.5 * (sum_a + sum_b)
     if max_index == expected:
@@ -86,66 +74,40 @@ def ari(a, b):
     return float((index - expected) / (max_index - expected))
 
 
-def hungarian(cost):
-    """Minimum-cost perfect matching on the square zero-padding of ``cost``.
-
-    Returns the matched column for every row of the padded table.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if not np.isfinite(cost).all():
-        raise ValueError("costs must be finite")
-    rows, cols = cost.shape
-    size = max(rows, cols)
+def _matching(table):
+    """The (class, cluster) pairs of a one-to-one matching of the table's
+    rows to its columns with the largest matched count.  It is solved on the
+    table zero-padded to a square, which fixes how ties between equally good
+    matchings break; pairs that touch the padding are dropped."""
+    size = max(table.shape)
     padded = np.zeros((size, size))
-    padded[:rows, :cols] = cost
-    row_ind, col_ind = linear_sum_assignment(padded)
-    assignment = np.empty(size, dtype=int)
-    assignment[row_ind] = col_ind
-    return assignment
-
-
-def _match_predicted_to_true(ct):
-    """Map each predicted cluster to a true class by maximizing matched mass;
-    predicted clusters landing on padding rows map to nothing (-1)."""
-    c_true, c_pred = ct.table.shape
-    row_for_col = np.full(max(c_true, c_pred), -1, dtype=int)
-    col_of_row = hungarian(-ct.table.astype(np.float64))
-    for row, col in enumerate(col_of_row):
-        if row < c_true and col < c_pred:
-            row_for_col[col] = row
-    return row_for_col[:c_pred]
+    padded[: table.shape[0], : table.shape[1]] = -table
+    rows, cols = linear_sum_assignment(padded)
+    real = (rows < table.shape[0]) & (cols < table.shape[1])
+    return rows[real], cols[real]
 
 
 def acc(a_true, b_pred):
     """Fraction of points matched under the best bijection between predicted
     clusters and true classes."""
-    ct = contingency(a_true, b_pred)
-    mapping = _match_predicted_to_true(ct)
-    matched = sum(
-        ct.table[mapping[j], j] for j in range(ct.table.shape[1]) if mapping[j] >= 0
-    )
-    return float(matched) / ct.n
+    table = contingency(a_true, b_pred)
+    rows, cols = _matching(table)
+    return float(table[rows, cols].sum()) / int(table.sum())
 
 
 def f1(a_true, b_pred):
     """Macro F1 over true classes after mapping predicted clusters to classes
     with the same optimal matching as ``acc``.  Classes that no predicted
     cluster maps to score 0 and still enter the average."""
-    ct = contingency(a_true, b_pred)
-    mapping = _match_predicted_to_true(ct)
-    c_true, c_pred = ct.table.shape
-    scores = []
-    for k in range(c_true):
-        cols = [j for j in range(c_pred) if mapping[j] == k]
-        tp = float(sum(ct.table[k, j] for j in cols))
-        predicted = float(sum(ct.col_marginals[j] for j in cols))
-        actual = float(ct.row_marginals[k])
-        if tp == 0.0:
-            scores.append(0.0)
-            continue
-        precision = tp / predicted
-        recall = tp / actual
-        scores.append(2.0 * precision * recall / (precision + recall))
+    table = contingency(a_true, b_pred)
+    actual, predicted = table.sum(axis=1), table.sum(axis=0)
+    scores = np.zeros(table.shape[0])
+    for k, j in zip(*_matching(table)):
+        tp = float(table[k, j])
+        if tp > 0.0:
+            precision = tp / float(predicted[j])
+            recall = tp / float(actual[k])
+            scores[k] = 2.0 * precision * recall / (precision + recall)
     return float(np.mean(scores))
 
 

@@ -62,6 +62,17 @@ def test_metrics_of_identical_labelings_is_all_hundred(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "NMI=100.0 ARI=100.0 ACC=100.0 F1=100.0"
 
 
+def test_metrics_matches_on_the_zero_padded_count_table(tmp_path, capsys):
+    # two matchings tie on this table; the padded solve scores F1 22/45,
+    # a rectangular solve would print F1=43.3
+    truth, pred = tmp_path / "truth.txt", tmp_path / "pred.txt"
+    truth.write_text("0\n1\n0\n2\n2\n")
+    pred.write_text("0\n0\n1\n1\n1\n")
+    assert main(["metrics", str(truth), str(pred)]) == 0
+    fields = capsys.readouterr().out.split()
+    assert "ACC=60.0" in fields and "F1=48.9" in fields
+
+
 def test_cluster_optional_exports(tmp_path, capsys):
     data = synth(tmp_path)
     run = tmp_path / "run"

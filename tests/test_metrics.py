@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from mvgc.metrics import acc, ari, contingency, f1, hungarian, nmi
+from mvgc.metrics import acc, ari, contingency, f1, nmi
 
 
 def random_labelings(seed, n=40, c_a=4, c_b=5):
@@ -19,29 +19,55 @@ def random_labelings(seed, n=40, c_a=4, c_b=5):
 
 
 def exhaustive_acc(a, b):
-    ct = contingency(a, b)
-    size = max(ct.table.shape)
+    table = contingency(a, b)
+    size = max(table.shape)
     padded = np.zeros((size, size))
-    padded[: ct.table.shape[0], : ct.table.shape[1]] = ct.table
+    padded[: table.shape[0], : table.shape[1]] = table
     best = max(
         sum(padded[perm[j], j] for j in range(size))
         for perm in permutations(range(size))
     )
-    return best / ct.n
+    return best / table.sum()
+
+
+def best_matchings(table):
+    """The largest matched count over every one-to-one matching on the
+    zero-padded square table, and each matching that reaches it as its
+    (class, cluster) pairs inside the table."""
+    rows, cols = table.shape
+    size = max(rows, cols)
+    padded = np.zeros((size, size), dtype=np.int64)
+    padded[:rows, :cols] = table
+    best, matchings = -1, []
+    for perm in permutations(range(size)):
+        count = sum(int(padded[perm[j], j]) for j in range(size))
+        pairs = [(perm[j], j) for j in range(cols) if perm[j] < rows]
+        if count > best:
+            best, matchings = count, [pairs]
+        elif count == best:
+            matchings.append(pairs)
+    return best, matchings
+
+
+def macro_f1(table, pairs):
+    """Mean over true classes of 2·tp / (class size + cluster size); an
+    unmatched class scores 0."""
+    total = 0.0
+    for k, j in pairs:
+        total += 2.0 * table[k, j] / (table[k, :].sum() + table[:, j].sum())
+    return total / table.shape[0]
 
 
 def test_contingency_counts_joint_occurrences():
-    ct = contingency([0, 0, 1, 1, 2], [1, 1, 0, 1, 0])
-    assert ct.table.tolist() == [[0, 2], [1, 1], [1, 0]]
-    assert ct.row_marginals.tolist() == [2, 2, 1]
-    assert ct.col_marginals.tolist() == [2, 3]
-    assert ct.n == 5
+    table = contingency([0, 0, 1, 1, 2], [1, 1, 0, 1, 0])
+    assert table.dtype == np.int64
+    assert table.tolist() == [[0, 2], [1, 1], [1, 0]]
 
 
 def test_contingency_relabels_arbitrary_label_values():
-    ct = contingency(["x", "y", "x"], [7, 7, 3])
-    assert ct.table.sum() == 3
-    assert ct.table.shape == (2, 2)
+    table = contingency(["x", "y", "x"], [7, 7, 3])
+    assert table.sum() == 3
+    assert table.shape == (2, 2)
 
 
 def test_contingency_validates_inputs():
@@ -127,20 +153,26 @@ def test_f1_perfect_prediction():
     assert f1(a, a) == pytest.approx(1.0)
 
 
-def test_hungarian_square_known_optimum():
-    cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
-    assignment = hungarian(cost)
-    assert assignment.tolist() == [1, 0, 2]
-    assert cost[np.arange(3), assignment].sum() == 5.0
+def test_acc_and_f1_agree_with_every_best_matching_on_random_labelings():
+    rng = np.random.default_rng(0)
+    rectangular = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 13))
+        a = rng.integers(0, int(rng.integers(1, 6)), size=n)
+        b = rng.integers(0, int(rng.integers(1, 6)), size=n)
+        table = contingency(a, b)
+        rectangular += table.shape[0] != table.shape[1]
+        best, matchings = best_matchings(table)
+        assert acc(a, b) == best / n
+        score = f1(a, b)
+        assert min(abs(score - macro_f1(table, pairs)) for pairs in matchings) <= 1e-12
+    assert rectangular > 100
 
 
-def test_hungarian_pads_rectangular_costs():
-    assignment = hungarian(np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]))
-    assert len(assignment) == 3
-    assert sorted(assignment.tolist()) == [0, 1, 2]
-    assert assignment[0] == 0 and assignment[1] == 1
-
-
-def test_hungarian_rejects_nonfinite_costs():
-    with pytest.raises(ValueError):
-        hungarian(np.array([[np.inf, 1.0], [1.0, 0.0]]))
+def test_f1_breaks_ties_on_the_zero_padded_square():
+    # table [[1, 1], [1, 0], [0, 2]]: two matchings tie at 3 matched points;
+    # the padded solve gives the first cluster to class 1 (F1 22/45), a
+    # rectangular solve gives it to class 0 (F1 13/30)
+    a, b = [0, 1, 0, 2, 2], [0, 0, 1, 1, 1]
+    assert f1(a, b) == pytest.approx(22.0 / 45.0, rel=1e-12, abs=0.0)
+    assert acc(a, b) == 0.6
