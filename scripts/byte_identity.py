@@ -11,7 +11,9 @@ suite at seeds 0 and 3.  Datasets, run directories, standard
 output and exit codes land in WORK/parent and WORK/change, and the two are
 compared file by file.  Exit status 0 means every run exited 0 and no file
 differs; 1 names the first run, on either side, that exited non-zero, or
-else every file that differs.  WORK defaults to a temporary directory,
+else every file that differs, followed by how far apart the numbers of each
+differing ``.tsv`` file lie: its largest relative cell difference, or that
+its row counts differ.  WORK defaults to a temporary directory,
 removed at the end; a given one is kept.
 
 With ``--blas-threads`` the one tree ``--change`` runs twice, into
@@ -20,6 +22,7 @@ to 2 in each child's environment alone.
 """
 
 import argparse
+import math
 import os
 import shutil
 import subprocess
@@ -112,6 +115,59 @@ def differences(a, b):
     return out
 
 
+def _relative(x, y):
+    """|x - y| / max(|x|, |y|): 0 for equal numbers, inf if either is not
+    finite."""
+    if x == y:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def numeric_gap(path_a, path_b):
+    """How far apart the numbers of two tab-separated files lie: their
+    largest relative cell difference, or that their row counts, or one
+    row's cell counts, differ.  None when a differing cell is not a
+    number."""
+    rows_a = Path(path_a).read_text().splitlines()
+    rows_b = Path(path_b).read_text().splitlines()
+    if len(rows_a) != len(rows_b):
+        return f"row counts differ ({len(rows_a)} and {len(rows_b)})"
+    worst = 0.0
+    for number, (row_a, row_b) in enumerate(zip(rows_a, rows_b), start=1):
+        if row_a == row_b:
+            continue
+        cells_a, cells_b = row_a.split("\t"), row_b.split("\t")
+        if len(cells_a) != len(cells_b):
+            return f"cell counts differ in row {number}"
+        for x, y in zip(cells_a, cells_b):
+            if x == y:
+                continue
+            try:
+                worst = max(worst, _relative(float(x), float(y)))
+            except ValueError:
+                return None
+    return f"largest relative cell difference {worst:.2e}"
+
+
+def gaps(a, b):
+    """One line for each ``.tsv`` file, in sorted path order, that both
+    directories ``a`` and ``b`` hold, that differs, and whose differing
+    cells are all numbers: its ``numeric_gap``."""
+    a, b = Path(a), Path(b)
+    out = []
+    for rel in sorted(set(_files(a)) & set(_files(b))):
+        if rel.suffix != ".tsv":
+            continue
+        if (a / rel).read_bytes() == (b / rel).read_bytes():
+            continue
+        gap = numeric_gap(a / rel, b / rel)
+        if gap is not None:
+            out.append(f"{rel}: {gap}")
+    return out
+
+
 def failed_runs(root):
     """The logs directly in ``root``, sorted, whose run exited non-zero: the
     last line of each log is the run's ``exit N``."""
@@ -159,7 +215,10 @@ def main(argv=None):
         for label, tree, threads in runs:
             run_tree(tree, work / label, threads)
         labels = [label for label, _, _ in runs]
-        difference = verdict(*(work / label for label in labels), labels)
+        roots = [work / label for label in labels]
+        difference = verdict(*roots, labels)
+        if difference is not None:
+            difference = "\n".join([*difference.splitlines(), *gaps(*roots)])
     finally:
         if args.work is None:
             shutil.rmtree(work)

@@ -16,6 +16,9 @@ The epoch is split into phases by wrapping, at run time, the names that
 - ``forward <stage>`` for each stage of ``build_loss``, and ``forward
   build_loss`` for the sums that join them (``forward sample_consensus``
   includes the concrete noise, which the sample node draws itself;
+  ``forward normalize_consensus`` takes only the sample's n x 1 row sums,
+  and ``forward encode_view`` divides each hop's n x d product by them, so
+  no row-normalized n x n copy of the sample exists in either pass;
   ``forward adjacency_nll`` holds the whole likelihood of each view: the
   decoder certificate and either the count-form score or, when the
   certificate fails, ``adjacency_nll`` itself); a stage called outside

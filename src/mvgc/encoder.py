@@ -2,10 +2,12 @@
 
 Message passing needs no weights: features are pushed ``order`` times along a
 row-stochastic graph and summed across hops with a residual copy of the
-input.  Each view then compresses the concatenation of its specific-graph and
-consensus-graph embeddings through a small MLP.  The specific-graph branch
-has no parameters and a fixed graph, so the caller computes it once and
-passes it in, as in SGC's precomputed propagation (Wu et al. 2019).
+input; along the consensus sample, each hop's product is divided by the
+sample's row sums.  Each view then compresses the concatenation of its
+specific-graph and consensus-graph embeddings through a small MLP.  The
+specific-graph branch has no parameters and a fixed graph, so the caller
+computes it once and passes it in, as in SGC's precomputed propagation (Wu
+et al. 2019).
 Mirror-shaped decoders reconstruct the view features (and the global
 features from the posterior query embedding), giving the BCE terms that keep
 embeddings informative.
@@ -44,12 +46,14 @@ class ViewEncoder:
         return [*self.f.params, *self.dec.params]
 
 
-def message_pass(x, a_norm, order):
+def message_pass(x, a, order, rows=None):
     """(sum of the first ``order`` graph powers, plus two identity copies,
-    applied to x) via iterated products: acc <- A acc; out <- out + acc."""
+    applied to x) via iterated products: acc <- A acc; out <- out + acc.
+    Given its n x 1 row sums ``rows``, the graph ``a`` is row-normalized
+    one hop at a time, as (a @ acc) / rows, with no normalized copy."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    a = _wrap(a_norm)
+    a = _wrap(a)
     x = _wrap(x)
     if a.value.shape[0] != a.value.shape[1] or a.value.shape[1] != x.value.shape[0]:
         raise ValueError(
@@ -59,16 +63,18 @@ def message_pass(x, a_norm, order):
     out = 2.0 * x
     for _ in range(order):
         acc = a @ acc
+        if rows is not None:
+            acc = acc / rows
         out = out + acc
     return out
 
 
-def encode_view(x_v, specific_v, s_norm, enc, order):
-    """Embed one view: message-pass its features along the consensus graph,
-    concatenate with ``specific_v`` (the same features already message-passed
-    along the view's own graph, ``message_pass(x_v, a_norm_v, order)``), and
+def encode_view(x_v, specific_v, s, r, enc, order):
+    """Embed one view: message-pass its features along the consensus sample
+    ``s`` with its row sums ``r``, concatenate with ``specific_v`` (the same
+    features already message-passed along the view's own graph), and
     compress through f_v."""
-    consensus = message_pass(x_v, s_norm, order)
+    consensus = message_pass(x_v, s, order, rows=r)
     return enc.f(concat([specific_v, consensus]))
 
 

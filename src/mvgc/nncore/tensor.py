@@ -6,9 +6,11 @@ mapping the output gradient to input gradients; ``backward`` walks that
 dynamic tape once in reverse topological order.  Each op is one ``Tensor``
 method, its only definition; an ndarray or a number may stand on the left of
 ``+``, ``-`` and ``*`` only.  Broadcasting is supported for elementwise ops
-and bias rows, nothing fancier.  ``relu``, ``clip``, ``/``, ``**`` and
-``sum`` over an axis serve only the reference chains that tests check fused
-nodes against bit for bit; each names its node.
+and bias rows, nothing fancier.  ``/`` and ``sum`` over an axis also serve
+the consensus path: ``mvgc.vargen`` takes the sample's row sums with
+``sum``, and each message-passing hop divides its n x d product by them.
+``relu``, ``clip`` and ``**`` serve only the reference chains that tests
+check fused nodes against bit for bit; each names its node.
 
 A gradient closure keeps only what its own backward reads: its parents and
 the plain arrays it needs.  It never captures the output Tensor it is
@@ -24,8 +26,7 @@ replaces it, so its intermediates never reach the tape:
   keeping a boolean dropout mask;
 - in ``mvgc.vargen``: the concrete sample, which also forms the posterior
   logits K Q^T in the buffer that becomes the sample, so neither the logits
-  nor the noise reach the tape; its row normalization, which forms the row
-  term of its backward a row block at a time;
+  nor the noise reach the tape;
 - in ``mvgc.cluster``: the fusion, which keeps no scaled copy of a view, and
   the soft assignment, which keeps z and n x c arrays but not z * z.
 
@@ -129,7 +130,8 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        # reference chain of the row normalization and the soft assignment
+        # a consensus hop's division by the row sums, and the reference
+        # chain of the soft assignment
         return _binary(
             operator.truediv, self, other,
             lambda g, av, bv: g / bv, lambda g, av, bv: -g * av / (bv * bv),
@@ -168,13 +170,14 @@ class Tensor:
         return _record(out, (self,), lambda g: ((self, g.T),))
 
     def sum(self, axis=None, keepdims=False):
-        # axis, keepdims: reference chains of row normalization, soft assignment
+        # axis, keepdims: the consensus row sums, and the reference chain of
+        # the soft assignment.  The gradient leaves as a read-only view
         out = Tensor(self.value.sum(axis=axis, keepdims=keepdims))
 
         def grad_fn(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return ((self, np.broadcast_to(g, self.value.shape).copy()),)
+            return ((self, np.broadcast_to(g, self.value.shape)),)
 
         return _record(out, (self,), grad_fn)
 

@@ -27,6 +27,8 @@ and the incoming beliefs.  ``build_loss`` builds only the differentiable
 graph; the sample node draws the epoch's concrete noise from its own
 stream a row block at a time, into the sample's buffer, so no n x n noise
 array exists and no n x n array outlives the stage that reads it last.
+The consensus branch divides each hop's product by the sample's row sums,
+so the tape holds no row-normalized copy of the sample.
 """
 
 import ctypes
@@ -203,9 +205,9 @@ def _forward(state, dataset, config, noise_rng=None, dropout_rng=None):
     """
     k, q = infer_posterior(dataset.x_global, state.posterior, rng=dropout_rng)
     sample = sample_consensus(k, q, config.tau, rng=noise_rng)
-    s_norm = normalize_consensus(sample)
+    r = normalize_consensus(sample)
     z_views = [
-        encode_view(x, specific, s_norm, enc, config.order)
+        encode_view(x, specific, sample, r, enc, config.order)
         for (x, _), specific, enc in zip(dataset.views, state.specific, state.encoders)
     ]
     return q, sample, z_views

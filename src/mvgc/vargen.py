@@ -4,9 +4,11 @@ The edge prior is a Bernoulli field whose parameters come from belief-weighted
 agreement between the observed graphs.  The posterior puts a logit on every
 node pair via an attention-style product of global-feature embeddings, and is
 sampled through the binary-concrete relaxation so gradients reach the
-posterior net.  The ELBO combines per-view adjacency likelihoods (each view's
-decoder logits, ``decode_adjacency``, scored by ``adjacency_nll``), the
-entropy of the relaxed sample, and a closed-form upper bound on the KL term.
+posterior net; message passing divides by its row sums,
+``normalize_consensus``.  The ELBO combines per-view adjacency likelihoods
+(each view's decoder logits, ``decode_adjacency``, scored by
+``adjacency_nll``), the entropy of the relaxed sample, and a closed-form
+upper bound on the KL term.
 
 Two of those terms are constants of every default fit, and are formed
 without an n x n array:
@@ -20,8 +22,8 @@ without an n x n array:
 - The prior ``compute_prior_beta`` takes one value per edge pattern (which
   views hold the pair), so the KL bound is ``pattern_kl_bound``: a sum over
   the patterns that occur of their fit-constant ``edge_pattern_counts``
-  times -log(prior).  ``compute_prior_beta`` and ``kl_upper_bound`` form
-  the same bound from the n x n prior; they are its reference.
+  times -log(prior).  ``mvgc verify theorem1`` checks that route against
+  the bound's closed form.
 """
 
 import math
@@ -39,7 +41,7 @@ from .nncore import (
     xavier_uniform,
 )
 from .nncore.tensor import (
-    BCE_CLAMP, _bce_terms, _record, _row_blocks, _tracked, _unbroadcast, _wrap,
+    BCE_CLAMP, _bce_terms, _record, _row_blocks, _tracked, _wrap,
 )
 
 # the relaxed sample is nudged this far off exact 0 and 1
@@ -93,8 +95,8 @@ def compute_prior_beta(graphs, beliefs):
     Each view's vote is densified for as long as it is added: an array of
     1 - b^v with b^v set on the view's edges.  A fit takes its KL bound from
     ``pattern_kl_bound`` instead, which forms the same values one per edge
-    pattern; this n x n form is its reference in the tests and in ``mvgc
-    verify theorem1``.
+    pattern; this n x n form is its reference in the tests.  It stays in
+    the package because the benchmark's traced run wraps it by name.
     """
     if not graphs:
         raise ValueError("need at least one graph")
@@ -190,37 +192,10 @@ def sample_consensus(k, q, tau, rng=None):
 
 
 def normalize_consensus(s):
-    """Row-normalize the relaxed sample so it can drive message passing.
-
-    One tape node, which keeps the sample and its row sums r; the sample
-    node keeps the sample anyway.  For the gradient G of S / r, S gets G / r
-    and then the row term, the row sums of -G S / r^2 spread back over each
-    row, as the quotient and the row sum of the chain give them.  The row
-    term is formed a row block at a time and handed on as a broadcast view,
-    so the backward makes one n x n array, G / r.
-    """
-    s = _wrap(s)
-    sv = s.value
-    r = sv.sum(axis=1, keepdims=True)
-    out = Tensor(sv / r)
-
-    def grad_fn(g):
-        g_r = np.empty_like(r)
-        for rows in _row_blocks(sv.shape):
-            g_r[rows] = _unbroadcast(
-                -g[rows] * sv[rows] / (r[rows] * r[rows]), g_r[rows].shape
-            )
-        yield s, g / r, True
-        yield s, np.broadcast_to(g_r, sv.shape)
-
-    return _record(out, (s,), grad_fn)
-
-
-def kl_upper_bound(beta):
-    """Sum of log(1/beta) over all pairs of the prior ``beta``: the
-    closed-form bound on the KL divergence from posterior to prior.  The
-    n x n reference of ``pattern_kl_bound``."""
-    return float(-np.log(beta).sum())
+    """The row sums r of the relaxed sample S, an n x 1 Tensor.  Message
+    passing divides each hop by them, as (S @ acc) / r = (S / r) @ acc, so
+    S / r is never formed."""
+    return _wrap(s).sum(axis=1, keepdims=True)
 
 
 def edge_pattern_counts(graphs):
@@ -256,8 +231,9 @@ def edge_pattern_counts(graphs):
 
 
 def pattern_kl_bound(patterns, beliefs):
-    """``kl_upper_bound(compute_prior_beta(graphs, beliefs))`` from the
-    graphs' ``edge_pattern_counts`` ``patterns``, with no n x n array.
+    """The sum of -log ``compute_prior_beta(graphs, beliefs)`` over all
+    pairs, from the graphs' ``edge_pattern_counts`` ``patterns``, with no
+    n x n array.
 
     Each pattern's prior is formed by the ops ``compute_prior_beta`` applies
     to every pair of that pattern, view by view in the same order, so it is
@@ -367,7 +343,7 @@ def elbo_loss(likelihood, s, kl_bound):
     caller scores one view at a time, so at most one n x n logits array
     exists at a time.  ``s`` is the relaxed consensus sample.  ``kl_bound``
     is the float ``pattern_kl_bound`` of the graphs' edge patterns, equal
-    but for rounding to ``kl_upper_bound(compute_prior_beta(...))``: it
+    but for rounding to the sum of -log(prior) over the n x n prior: it
     depends only on the graphs and beliefs, not on any parameter, so the
     caller computes it once per belief update."""
     return likelihood + bernoulli_entropy(s) - kl_bound

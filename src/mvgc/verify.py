@@ -1,10 +1,10 @@
 """Numerical verification suites behind ``mvgc verify``.
 
 Each suite checks one analytic property of the pipeline against an
-independent route: closed forms versus entrywise sums, Monte Carlo sampling
-versus tabulated trends, reverse-mode gradients versus central differences,
-and the clustering metrics versus loop-coded oracles.  Suites return Check
-records; a suite passes when every record does.
+independent route: closed forms versus the sums a fit takes, Monte Carlo
+sampling versus tabulated trends, reverse-mode gradients versus central
+differences, and the clustering metrics versus loop-coded oracles.  Suites
+return Check records; a suite passes when every record does.
 """
 
 import itertools
@@ -19,8 +19,8 @@ from .metrics import acc, ari, nmi
 from .nncore import Tensor, grad_check
 from .trainer import build_loss, init_state, prepare_epoch
 from .vargen import (
-    compute_prior_beta,
-    kl_upper_bound,
+    edge_pattern_counts,
+    pattern_kl_bound,
     sample_consensus,
     view_prior_cross_entropy,
 )
@@ -55,9 +55,11 @@ def _random_graph(rng, n, p):
 def theorem1(seed=0):
     """KL bound of the two-view equal-belief prior against its closed form.
 
-    With both beliefs at b, disagreeing entries contribute log(2b) each and
-    jointly-absent entries log(b / (1 - b)); agreement on an edge contributes
-    nothing.  The identity is exact, so the tolerance is float headroom only.
+    The bound is taken as a fit takes it, ``pattern_kl_bound`` of the
+    graphs' ``edge_pattern_counts``.  With both beliefs at b, disagreeing
+    entries contribute log(2b) each and jointly-absent entries
+    log(b / (1 - b)); agreement on an edge contributes nothing.  The
+    identity is exact, so the tolerance is float headroom only.
     """
     rng = np.random.default_rng(seed)
     pairs = [
@@ -68,8 +70,7 @@ def theorem1(seed=0):
     for b in (0.6, 0.7, 0.9):
         worst = 0.0
         for g1, g2 in pairs:
-            prior = compute_prior_beta([g1, g2], [b, b])
-            lhs = kl_upper_bound(prior)
+            lhs = pattern_kl_bound(edge_pattern_counts([g1, g2]), [b, b])
             d_ham = hamming_distance(g1, g2)
             both_absent = g1.n ** 2 - (g1.adj + g2.adj).nnz
             rhs = d_ham * math.log(2.0 * b) + both_absent * math.log(b / (1.0 - b))
@@ -80,7 +81,7 @@ def theorem1(seed=0):
                 passed=worst <= 1e-9,
                 measured=worst,
                 bound=1e-9,
-                note="max |entrywise - closed form| over 50 graph pairs",
+                note="max |edge-pattern bound - closed form| over 50 graph pairs",
             )
         )
     return checks

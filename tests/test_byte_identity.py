@@ -67,6 +67,36 @@ def test_every_difference_is_named_under_the_given_labels(tmp_path):
     )
 
 
+def test_each_differing_numeric_tsv_reports_its_largest_relative_gap(tmp_path):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    # 0.25 -> 0.24 is 4% of 0.25, and -3 -> -3.03 1% of 3.03
+    (b / "run" / "losses.tsv").write_text("1\t0.5\t0.24\t-3.03\n")
+    (a / "run" / "consensus.tsv").write_text("0\t1\t0.6\n1\t0\t0.6\n")
+    (b / "run" / "consensus.tsv").write_text("0\t1\t0.6\n")
+    (a / "run" / "beliefs.tsv").write_text("1\t1\n0.5\t0\n")
+    (b / "run" / "beliefs.tsv").write_text("1\t1\n0.5\t-0.0\n")
+    (b / "run" / "labels.txt").write_text("0\n1\n0\n")
+    assert byte_identity.gaps(a, b) == [
+        "run/beliefs.tsv: largest relative cell difference 0.00e+00",
+        "run/consensus.tsv: row counts differ (2 and 1)",
+        "run/losses.tsv: largest relative cell difference 4.00e-02",
+    ]
+    assert byte_identity.numeric_gap(
+        b / "run" / "losses.tsv", a / "run" / "losses.tsv"
+    ) == "largest relative cell difference 4.00e-02"
+
+
+def test_a_tsv_whose_differing_cell_is_not_a_number_reports_no_gap(tmp_path):
+    a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b")
+    (a / "run" / "notes.tsv").write_text("x\t1\n")
+    (b / "run" / "notes.tsv").write_text("y\t1\n")
+    (b / "run" / "z.tsv").write_text("1\t2\n")
+    (a / "run" / "z.tsv").write_text("1\t2\t3\n")
+    notes = [root / "run" / "notes.tsv" for root in (a, b)]
+    assert byte_identity.numeric_gap(*notes) is None
+    assert byte_identity.gaps(a, b) == ["run/z.tsv: cell counts differ in row 1"]
+
+
 def test_the_blas_thread_count_is_set_in_the_child_environment_alone(tmp_path):
     before = dict(os.environ)
     env = byte_identity.child_env(tmp_path, blas_threads=2)

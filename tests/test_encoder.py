@@ -22,11 +22,16 @@ def ring_norm(n):
     return row_normalize(add_self_loops(Graph(adj)))
 
 
-def tilted_norm(n):
-    """A dense row-stochastic consensus that weighs each node's self-edge
-    three times each of its other entries."""
-    weights = np.eye(n) + 0.5
-    return weights / weights.sum(axis=1, keepdims=True)
+def consensus(weights):
+    """A dense consensus as ``encode_view`` takes it: the weights and their
+    row sums."""
+    return Tensor(weights), Tensor(weights.sum(axis=1, keepdims=True))
+
+
+def tilted(n):
+    """A dense consensus that weighs each node's self-edge three times each
+    of its other entries."""
+    return consensus(np.eye(n) + 0.5)
 
 
 def test_message_pass_order_zero_doubles_the_features():
@@ -62,9 +67,9 @@ def test_encode_view_shape_and_determinism():
     x = np.random.default_rng(3).uniform(size=(n, d_v))
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=embed, seed=0)
     specific = message_pass(x, ring_norm(n), 2).value
-    s_norm = Tensor(np.full((n, n), 1.0 / n))
-    z1 = encode_view(x, specific, s_norm, enc, order=2)
-    z2 = encode_view(x, specific, s_norm, enc, order=2)
+    s, r = consensus(np.ones((n, n)))
+    z1 = encode_view(x, specific, s, r, enc, order=2)
+    z2 = encode_view(x, specific, s, r, enc, order=2)
     assert z1.value.shape == (n, embed)
     assert np.array_equal(z1.value, z2.value)
 
@@ -73,12 +78,12 @@ def test_encode_view_compresses_both_graph_routes_through_f():
     n, d_v = 6, 3
     x = np.random.default_rng(8).uniform(size=(n, d_v))
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=4, seed=5)
-    s_norm = Tensor(tilted_norm(n))
+    s, r = tilted(n)
     specific = message_pass(x, ring_norm(n), 2).value
-    both = concat([specific, message_pass(x, s_norm, 2)])
+    both = concat([specific, message_pass(x, s, 2, rows=r)])
     expected = enc.f(both).value
     assert np.array_equal(
-        encode_view(x, specific, s_norm, enc, order=2).value, expected
+        encode_view(x, specific, s, r, enc, order=2).value, expected
     )
 
 
@@ -87,10 +92,8 @@ def test_encode_view_feeds_both_graph_routes():
     x = np.random.default_rng(4).uniform(size=(n, d_v))
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=4, seed=1)
     specific = message_pass(x, ring_norm(n), 2).value
-    uniform = Tensor(np.full((n, n), 1.0 / n))
-    tilted = Tensor(tilted_norm(n))
-    z_uniform = encode_view(x, specific, uniform, enc, order=2)
-    z_tilted = encode_view(x, specific, tilted, enc, order=2)
+    z_uniform = encode_view(x, specific, *consensus(np.ones((n, n))), enc, order=2)
+    z_tilted = encode_view(x, specific, *tilted(n), enc, order=2)
     # a different consensus graph must move the embedding
     assert not np.allclose(z_uniform.value, z_tilted.value)
 
@@ -100,7 +103,7 @@ def test_reconstruction_loss_is_bce_of_the_decoded_features():
     x = np.random.default_rng(5).uniform(size=(n, d_v))
     enc = ViewEncoder.create(d_v=d_v, hidden=8, embed_dim=3, seed=2)
     specific = message_pass(x, ring_norm(n), 1).value
-    z = encode_view(x, specific, Tensor(np.full((n, n), 1.0 / n)), enc, order=1)
+    z = encode_view(x, specific, *consensus(np.ones((n, n))), enc, order=1)
     decoded = enc.dec(z)
     assert reconstruction_loss(x, z, enc).value == pytest.approx(
         binary_cross_entropy(x, decoded).value

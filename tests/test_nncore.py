@@ -788,6 +788,55 @@ def test_backward_adds_into_an_array_handed_over_and_no_other():
     assert np.array_equal(x.grad, np.full(3, 7.0))
 
 
+@pytest.mark.parametrize("view_first", [True, False])
+def test_a_row_sum_view_and_a_matmul_pair_sum_into_one_gradient(view_first):
+    # the row sum hands its parent a read-only broadcast view of the n x 1
+    # gradient, the matmul an array of its own
+    rng = np.random.default_rng(31)
+    s = Parameter(rng.uniform(size=(3, 4)))
+    y, weight = rng.normal(size=(4, 2)), rng.normal(size=(3, 1))
+    rows = s.sum(axis=1, keepdims=True)
+    view = next(iter(rows._grad_fn(weight)))[1]
+    assert not view.flags.writeable and np.shares_memory(view, weight)
+    row_term = (rows * weight).sum()
+    product = (s @ y).sum()
+    backward(row_term + product if view_first else product + row_term)
+    assert np.array_equal(s.grad, weight + np.ones((3, 2)) @ y.T)
+
+
+@pytest.mark.parametrize("order", [
+    ("view", "handed"), ("handed", "view"), ("view", "view", "handed"),
+    ("view", "kept", "handed"), ("view", "view"),
+])
+def test_a_broadcast_view_is_summed_from_and_its_base_never_written(order):
+    # the view is writable here, so a walk that added into it would change
+    # every entry of its base's row at once
+    base = np.array([[1.0], [2.0], [3.0]])
+    view = np.lib.stride_tricks.as_strided(
+        base, shape=(3, 4), strides=(base.strides[0], 0)
+    )
+    kept = np.full((3, 4), 5.0)
+    x = Parameter(np.zeros((3, 4)))
+    h = x * 1.0
+
+    def grad_fn(g):
+        for name in order:
+            if name == "handed":
+                yield h, np.full((3, 4), 10.0), True
+            else:
+                yield h, view if name == "view" else kept
+
+    node = _record(Tensor(h.value * 1.0), (h,), grad_fn)
+    backward(node.sum())
+    assert np.array_equal(base, [[1.0], [2.0], [3.0]])
+    assert np.array_equal(kept, np.full((3, 4), 5.0))
+    want = (
+        order.count("view") * np.broadcast_to(base, (3, 4))
+        + 5.0 * order.count("kept") + 10.0 * order.count("handed")
+    )
+    assert np.array_equal(x.grad, want)
+
+
 def test_backward_drops_each_pair_before_the_next_is_made():
     x = Parameter(np.ones((2, 2)))
     constant = Tensor(np.ones((2, 2)))

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from kl_oracle import kl_upper_bound
 from scipy import sparse
 
 from mvgc import trainer
@@ -27,7 +28,6 @@ from mvgc.vargen import (
     decode_adjacency,
     edge_pattern_counts,
     elbo_loss,
-    kl_upper_bound,
 )
 
 
@@ -178,8 +178,9 @@ def _square_tape_arrays(dataset, config, decoder_shift=0.0):
 
     n = 24 differs from every other width (hidden 8, embed 4, features 6
     and 12), so an n x n array is one of the dense consensus or decoder
-    stages: the sample, its row normalization and one decoder logits array
-    per view."""
+    stages: the sample, which message passing divides by its row sums
+    rather than normalizing, and the likelihood chain's arrays of each
+    view."""
     state = init_state(dataset, config)
     for enc in state.encoders:
         enc.f.params[-1].value[0, 0] += decoder_shift
@@ -192,19 +193,19 @@ def _square_tape_arrays(dataset, config, decoder_shift=0.0):
     ]
 
 
-def test_the_tape_holds_two_plus_three_v_square_float_arrays():
+def test_the_tape_holds_one_plus_three_v_square_float_arrays():
     # the toy's decoder is not saturated: its smallest |logit| is about 1.2,
     # so every view's likelihood is the sigmoid -> BCE chain, which keeps the
     # logits, their sigmoid and the dense adjacency
     dataset = toy_dataset()
     square = _square_tape_arrays(dataset, toy_config(dropout=0.3))
-    assert len(square) == 2 + 3 * dataset.num_views
+    assert len(square) == 1 + 3 * dataset.num_views
 
 
 def test_a_saturated_decoder_leaves_no_square_array_on_the_tape(monkeypatch):
     # shifted by +40 along the first column, both views' embeddings are
     # certified, so no decoder logits are formed; the posterior logits
-    # K Q^T are the sample's own buffer
+    # K Q^T are the sample's own buffer, the one n x n array left
     real_certify = trainer.decoder_certified
     verdicts = []
 
@@ -216,7 +217,7 @@ def test_a_saturated_decoder_leaves_no_square_array_on_the_tape(monkeypatch):
     dataset = toy_dataset()
     square = _square_tape_arrays(dataset, toy_config(dropout=0.3), decoder_shift=40.0)
     assert verdicts == [True] * dataset.num_views
-    assert len(square) == 2
+    assert len(square) == 1
 
 
 def test_the_tape_holds_no_copy_of_an_embedding_or_of_the_fusion():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from kl_oracle import kl_upper_bound
 from scipy import special
 
+from mvgc.encoder import message_pass
 from mvgc.graph import Graph
 from mvgc.nncore import tensor
 from mvgc.nncore import (
@@ -30,7 +32,6 @@ from mvgc.vargen import (
     edge_pattern_counts,
     elbo_loss,
     infer_posterior,
-    kl_upper_bound,
     normalize_consensus,
     pattern_kl_bound,
     sample_consensus,
@@ -166,10 +167,34 @@ def test_larger_temperature_shrinks_sample_spread():
     assert spreads[0] > spreads[1] > spreads[2]
 
 
-def test_normalize_consensus_rows_sum_to_one():
-    alpha = Tensor(np.random.default_rng(5).normal(size=(4, 4)))
-    s_norm = normalize_consensus(bare_sample(alpha, 5.0))
-    assert np.allclose(s_norm.value.sum(axis=1), 1.0)
+@pytest.mark.parametrize("seed, n, order", [(5, 4, 1), (6, 9, 2), (7, 16, 3)])
+def test_message_passing_along_the_row_sums_matches_the_dense_normalization(
+    seed, n, order
+):
+    # each hop divides S @ acc by the row sums r; the oracle forms S / r
+    rng = np.random.default_rng(seed)
+    k0, q0 = rng.normal(size=(2, n, 3))
+    x = rng.uniform(size=(n, 4))
+    weight = rng.normal(size=(n, 4))
+
+    def run(propagate):
+        k, q = Parameter(k0.copy()), Parameter(q0.copy())
+        sample = sample_consensus(k, q, 0.7, rng=np.random.default_rng(seed))
+        out = propagate(sample)
+        backward((out * weight).sum() + bernoulli_entropy(sample))
+        return out.value, k.grad, q.grad
+
+    def along_row_sums(sample):
+        r = normalize_consensus(sample)
+        assert r.value.shape == (n, 1)
+        assert np.array_equal(r.value, sample.value.sum(axis=1, keepdims=True))
+        return message_pass(x, sample, order, rows=r)
+
+    def dense(sample):
+        return message_pass(x, sample / sample.sum(axis=1, keepdims=True), order)
+
+    for got, want in zip(run(along_row_sums), run(dense)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_infer_posterior_is_consistent_with_its_embeddings():
@@ -337,47 +362,6 @@ def test_sample_node_backward_in_row_blocks_matches_the_primitive_chain(block):
         patch.setattr(tensor, "_BLOCK_ENTRIES", block)
         fused = run(sample_consensus)
     primitive = run(_primitive_sample)
-    assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
-
-
-def _primitive_normalize(s):
-    """``normalize_consensus`` as the chain of primitive ops its node fuses."""
-    return s / s.sum(axis=1, keepdims=True)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1), st.integers(1, 7), st.sampled_from([1, 3, 1 << 16]),
-    st.booleans(), st.sampled_from(["none", "before", "after"]),
-)
-@example(0, 7, 3, False, "before")
-@example(0, 7, 1 << 16, True, "after")
-def test_normalize_node_matches_the_primitive_chain_bit_for_bit(
-    seed, n, block, transposed, entropy
-):
-    # block: entries per row block of the row term (one row, a few rows,
-    # and every row at once); transposed: the normalized sample is read
-    # through its transpose, so its gradient arrives column-major;
-    # entropy: where the sample's second consumer, its entropy, is summed
-    rng = np.random.default_rng(seed)
-    s0 = rng.uniform(1e-3, 1.0, size=(n, n))
-    x = rng.normal(size=(n, 3))
-
-    def run(normalize):
-        s = Parameter(s0.copy())
-        norm = normalize(s)
-        loss = ((norm.T if transposed else norm) @ x).sum() * 0.5
-        if entropy == "before":
-            loss = bernoulli_entropy(s) + loss
-        elif entropy == "after":
-            loss = loss + bernoulli_entropy(s)
-        backward(loss)
-        return norm.value, s.grad
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tensor, "_BLOCK_ENTRIES", block)
-        fused = run(normalize_consensus)
-    primitive = run(_primitive_normalize)
     assert all(_same_bits(a, b) for a, b in zip(fused, primitive))
 
 
