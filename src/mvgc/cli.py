@@ -4,11 +4,13 @@ verification suites, or score label files.
 Config resolution for ``cluster`` is layered: built-in defaults, then the
 optional key=value config file, then explicit flags.  Exit codes: 0 on
 success (and, for ``verify``, all checks passing), 2 for unusable input
-(bad flags, unreadable datasets), 1 for runtime failures.
+(bad flags, unreadable datasets, an ``--out`` that cannot be a run
+directory), 1 for runtime failures.
 """
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -64,12 +66,25 @@ def format_metrics_line(metrics):
     )
 
 
+def _check_out_dir(out_dir):
+    """Raise ``DatasetError`` naming ``out_dir`` unless it is, or can be
+    made, a directory to write in: its nearest existing path, itself or an
+    ancestor, must be a writable directory."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise DatasetError(f"--out {out_dir}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise DatasetError(f"--out {out_dir}: {existing} is not writable")
+
+
 def _cmd_cluster(args):
     config = _resolve_config(args)
     if not 0.0 <= args.consensus_threshold <= 1.0:
         raise DatasetError(
             f"--consensus-threshold {args.consensus_threshold:g} must lie in [0, 1]"
         )
+    out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     dataset = load_dataset(args.data_dir, knn_k=config.knn_k)
 
     def progress(epoch, report):
@@ -81,7 +96,6 @@ def _cmd_cluster(args):
             )
 
     result = fit(dataset, config, callback=progress)
-    out_dir = Path(args.out)
     embeddings = (result.zbar, result.z_views) if args.export_embeddings else None
     save_run(
         out_dir, result.labels, result.metrics,

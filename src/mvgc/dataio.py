@@ -25,6 +25,7 @@ read straight into one, with no n x n array on the way.
 """
 
 import codecs
+import contextlib
 import io
 import json
 import logging
@@ -498,7 +499,10 @@ def save_run(out_dir, labels, metrics, beliefs_history, loss_history,
     Writes labels.txt, metrics.json plus a key=value metrics.txt, beliefs.tsv
     (one row per epoch starting at the all-ones initialization), losses.tsv
     (one row per epoch: reconstruction, clustering, ELBO), and optionally
-    zbar.tsv / z_v{v}.tsv when ``embeddings`` is (zbar, [z_v, ...]).
+    zbar.tsv / z_v{v}.tsv when ``embeddings`` is (zbar, [z_v, ...]).  The
+    embeddings are written in one pass over the rows, and zbar reuses a
+    view's text wherever its block is bit-equal to that view's row, so each
+    such value is formatted once (``_write_embedding``).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -516,28 +520,67 @@ def save_run(out_dir, labels, metrics, beliefs_history, loss_history,
     with (out_dir / "losses.tsv").open("w") as handle:
         _write_rows(handle, loss_history, start=1)
     if embeddings is not None:
-        zbar, z_views = embeddings
-        _write_embedding(out_dir / "zbar.tsv", zbar)
-        for v, z in enumerate(z_views, start=1):
-            _write_embedding(out_dir / f"z_v{v}.tsv", z)
+        _write_embedding(out_dir, *embeddings)
+
+
+def _row_template(width):
+    """The %-template that writes one row of ``width`` floats: the row's
+    index, a tab, and its values in %.17g joined by tabs."""
+    return "%d\t" + "\t".join(["%.17g"] * width) + "\n"
 
 
 def _write_rows(handle, rows, start=0):
-    """Write each row of the 2-d float ``rows`` as its index (counted from
-    ``start``), a tab, and its values in %.17g joined by tabs.  One
-    %-template formats a whole row."""
+    """Write each row of the 2-d float ``rows`` by the row template, its
+    index counted from ``start``.  One %-template formats a whole row."""
     if len(rows) == 0:
         return
     rows = np.asarray(rows, dtype=np.float64)
-    template = "%d\t" + "\t".join(["%.17g"] * rows.shape[1]) + "\n"
+    template = _row_template(rows.shape[1])
     handle.writelines(
         template % (i, *row.tolist()) for i, row in enumerate(rows, start=start)
     )
 
 
-def _write_embedding(path, z):
-    with path.open("w") as handle:
-        _write_rows(handle, z)
+def _write_embedding(out_dir, zbar, z_views):
+    """Write zbar.tsv and z_v{v}.tsv (v from 1) in one pass over the rows,
+    holding one row of each file at a time.
+
+    zbar is the views' blocks side by side, each scaled by its belief.
+    Wherever a row's block has the float64 bits of the view's row, as under
+    a belief of exactly 1.0, zbar reuses the view's text; bits, not values,
+    since -0.0 and 0.0 print differently.  Any other block is formatted from
+    zbar, and so is a zbar whose rows or width do not line up with the
+    views, file by file."""
+    zbar = np.asarray(zbar, dtype=np.float64)
+    z_views = [np.asarray(z, dtype=np.float64) for z in z_views]
+    paths = [out_dir / f"z_v{v}.tsv" for v in range(1, len(z_views) + 1)]
+    lined_up = zbar.ndim == 2 and all(
+        z.ndim == 2 and len(z) == len(zbar) for z in z_views
+    ) and zbar.shape[1] == sum(z.shape[1] for z in z_views)
+    if not lined_up:
+        for path, z in zip([out_dir / "zbar.tsv", *paths], [zbar, *z_views]):
+            with path.open("w") as handle:
+                _write_rows(handle, z)
+        return
+    ends = np.cumsum([z.shape[1] for z in z_views], dtype=int)
+    columns = [slice(end - z.shape[1], end) for z, end in zip(z_views, ends)]
+    templates = [_row_template(z.shape[1]) for z in z_views]
+    with contextlib.ExitStack() as stack:
+        zbar_handle = stack.enter_context((out_dir / "zbar.tsv").open("w"))
+        handles = [stack.enter_context(path.open("w")) for path in paths]
+        for i, row in enumerate(zbar):
+            prefix = "%d\t" % i
+            texts = []
+            for z, template, handle, cols in zip(z_views, templates, handles, columns):
+                line = template % (i, *z[i].tolist())
+                handle.write(line)
+                if not z.shape[1]:
+                    continue  # an empty block adds no tab to zbar's row
+                block = row[cols]
+                if block.tobytes() != z[i].tobytes():
+                    line = template % (i, *block.tolist())
+                texts.append(line[len(prefix):-1])
+            zbar_handle.write(prefix + "\t".join(texts) + "\n")
 
 
 def write_consensus_tsv(path, s_values, threshold=0.5):

@@ -1,6 +1,7 @@
 """End-to-end command-line flows on small synthetic datasets."""
 
 import codecs
+import logging
 import os
 import re
 import subprocess
@@ -261,6 +262,25 @@ def test_consensus_threshold_outside_the_unit_interval_exits_two_before_loading(
                  "--export-consensus", f"--consensus-threshold={value}"]) == 2
     assert "--consensus-threshold" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+def test_an_unusable_out_exits_two_naming_it_before_training(
+    tmp_path, capsys, caplog, under_file
+):
+    # --out is an existing file, or a path below one
+    data = synth(tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "run" if under_file else blocker
+    capsys.readouterr()
+    with caplog.at_level(logging.INFO):
+        code = main(["cluster", str(data), "--out", str(out), *FAST_FLAGS])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: {blocker} is not a directory")
+    assert not any("epoch" in record.getMessage() for record in caplog.records)
+    assert blocker.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvgc.cluster import fuse
 from mvgc.dataio import (
     DatasetError,
     MultiViewDataset,
@@ -673,11 +675,55 @@ def test_row_templates_write_the_bytes_of_per_value_f_strings(tmp_path):
     assert (out / "beliefs.tsv").read_text() == _fstring_rows(beliefs)
     assert (out / "losses.tsv").read_text() == _fstring_rows(losses, start=1)
 
+    # a zbar that lines up with its views: a row's block with the bits of
+    # the view's row reuses the view's text, and every file must still read
+    # as the per-value writer's
+    a, b, empty = z[:, :3], z[:, 3:], z[:, :0]
+    signed = fuse([a, b], (1.0, 1.0)).value
+    assert signed[1, 0] == 0.0 and not np.signbit(signed[1, 0])
+    signed[1, 0] = -0.0  # equal in value to its view, not in bits
+    cases = [
+        (fuse([a, b], (1.0, 0.5)).value, [a, b]),
+        (fuse([a, b], (1.0, 1.0)).value, [a, b]),
+        (signed, [a, b]),
+        (fuse([a[:0], b[:0]], (1.0, 0.5)).value, [a[:0], b[:0]]),
+        (fuse([a, empty, b], (1.0, 1.0, 0.5)).value, [a, empty, b]),
+        (fuse([empty], (1.0,)).value, [empty]),
+        # rows that do not line up fall back to formatting zbar itself
+        (z, [a[:5], b]),
+    ]
+    for k, (zbar, z_views) in enumerate(cases):
+        out = tmp_path / f"fused{k}"
+        save_run(out, labels=np.zeros(2, dtype=int), metrics=None,
+                 beliefs_history=beliefs, loss_history=losses,
+                 embeddings=(zbar, z_views))
+        assert (out / "zbar.tsv").read_text() == _fstring_rows(zbar), k
+        for v, view in enumerate(z_views, start=1):
+            assert (out / f"z_v{v}.tsv").read_text() == _fstring_rows(view), (k, v)
+
     s = np.abs(rng.choice(_AWKWARD_FLOATS[np.isfinite(_AWKWARD_FLOATS)], size=(6, 6)))
     write_consensus_tsv(tmp_path / "consensus.tsv", s, threshold=0.0)
     assert (tmp_path / "consensus.tsv").read_text() == "".join(
         f"{i}\t{j}\t{s[i, j]:.17g}\n" for i, j in zip(*np.nonzero(s >= 0.0))
     )
+
+
+def test_saving_embeddings_holds_one_row_of_each_file_at_a_time(tmp_path):
+    # the text of zbar is over 8 MB and of each view about half that; a row
+    # of zbar is about 20 kB
+    rng = np.random.default_rng(22)
+    views = [rng.normal(size=(400, 512)) for _ in range(2)]
+    zbar = fuse(views, (1.0, 0.5)).value
+    tracemalloc.start()
+    try:
+        save_run(tmp_path / "run", labels=np.zeros(400, dtype=int), metrics=None,
+                 beliefs_history=[(1.0, 0.5)], loss_history=[],
+                 embeddings=(zbar, views))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (tmp_path / "run" / "zbar.tsv").stat().st_size > 8_000_000
 
 
 @pytest.mark.parametrize("directed", [False, True])
